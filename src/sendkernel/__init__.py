@@ -25,7 +25,7 @@ from .dispatch import (
     alloc_sequential,
     make_hash_allocator,
 )
-from .interpreter import Budget, run, send
+from .interpreter import Budget, run
 from .txn import ExecResult, Kernel, KernelConfig, SystemState
 from .assembler import ABORT_PROGRAM, Const, ProgramBuilder, Slot, runnable
 from .durability import (
@@ -34,7 +34,6 @@ from .durability import (
     RecoveryReport,
     Store,
     StoreCorruption,
-    StoreRecord,
     StoreSnapshot,
     StoreUninitialized,
     dispatch_externals,
@@ -87,7 +86,6 @@ __all__ = [
     "make_hash_allocator",
     "Budget",
     "run",
-    "send",
     "ExecResult",
     "Kernel",
     "KernelConfig",
@@ -102,7 +100,6 @@ __all__ = [
     "RecoveryReport",
     "Store",
     "StoreCorruption",
-    "StoreRecord",
     "StoreSnapshot",
     "StoreUninitialized",
     "dispatch_externals",

@@ -15,10 +15,11 @@ transaction committed before routing even saw the send, and the failed
 delivery is just an aborted record on the destination.
 
 replicate() is the replication check: several independently built replicas
-re-execute a store's transaction stream, and each outcome is compared
-against the recorded one.  Zero divergence across replicas is the
-determinism claim made operational; a replica with a perturbed kernel
-makes the detector itself testable.
+re-execute a store's transaction stream through durability.replay_compare,
+the same loop replay_verify runs, which compares each outcome against the
+recorded one.  Zero divergence across replicas is the determinism claim
+made operational; a replica with a perturbed kernel makes the detector
+itself testable.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
-from .durability import Store
-from .sexpr import SExpr, equal, is_atom, is_pair
+from .durability import Store, replay_compare
+from .sexpr import SExpr, is_atom, is_pair
 from .state import ExternalSend, TxRecord
 from .txn import Kernel, KernelConfig, SystemState
 
@@ -201,16 +202,6 @@ class ReplicaDivergence:
         return f"replica {self.replica} diverges from record {self.seq} on {self.field}"
 
 
-def _row_mismatch(recorded, replayed, fields) -> bool:
-    if len(recorded) != len(replayed):
-        return True
-    for a, b in zip(recorded, replayed):
-        for f in fields:
-            if not equal(getattr(a, f), getattr(b, f)):
-                return True
-    return False
-
-
 def replicate(
     store: Store,
     n: int = 3,
@@ -220,27 +211,14 @@ def replicate(
 
     Every replica re-executes the recorded transaction stream from empty
     and must reproduce each record exactly.  On the first disagreement the
-    recorded delta is authoritative: the divergence is reported and the
-    partial replicas are returned as built so far.
+    divergence is reported and the replicas completed before it are
+    returned.
     """
     replicas = []
     for r in range(n):
         kernel = kernel_factory(r) if kernel_factory else Kernel(store.config)
-        system = SystemState.fresh()
-        for record in store.records:
-            outcome = kernel.execute(system.kernel, system.k_len, record.tx)
-            if outcome.committed != record.committed:
-                return replicas, ReplicaDivergence(r, record.seq, "result")
-            if record.committed and not equal(outcome.result, record.result):
-                return replicas, ReplicaDivergence(r, record.seq, "result")
-            if _row_mismatch(
-                record.entries, outcome.entries, ("receiver", "caller", "message")
-            ):
-                return replicas, ReplicaDivergence(r, record.seq, "delta")
-            if _row_mismatch(
-                record.externals, outcome.externals, ("sender", "target", "message")
-            ):
-                return replicas, ReplicaDivergence(r, record.seq, "externals")
-            kernel.apply(system, record.tx, outcome)
+        system, mismatch = replay_compare(store.records, kernel)
+        if mismatch is not None:
+            return replicas, ReplicaDivergence(r, *mismatch)
         replicas.append(system)
     return replicas, None

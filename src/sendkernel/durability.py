@@ -15,9 +15,10 @@ reported rather than silently trimmed.
 
 Record payloads carry everything needed to rebuild the system without
 re-executing anything: the transaction, its tagged result, the appended
-log entries, the outward sends, and the log length after commit.  The
-arithmetic between those fields is checked on every open; full semantic
-verification (re-running each transaction and comparing) is replay_verify.
+log entries, the outward sends, and the log length after commit: the
+fields of a TxRecord, which is what a payload decodes to.  The arithmetic
+between those fields is checked on every open; full semantic verification
+(re-running each transaction and comparing) is replay_verify.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .sexpr import SExpr, chain, dumps, equal, is_atom, is_pair, parse, unchain
 from .state import ABORT, ExternalSend, KernelState, LogEntry, TxRecord
@@ -35,12 +36,12 @@ __all__ = [
     "StoreCorruption",
     "StoreUninitialized",
     "RecoveryReport",
-    "StoreRecord",
     "Store",
     "StoreSnapshot",
     "read_store",
     "DurableSystem",
     "Divergence",
+    "replay_compare",
     "replay_verify",
     "dispatch_externals",
     "encode_frame",
@@ -174,25 +175,6 @@ def decode_header(x: SExpr) -> KernelConfig:
         raise StoreCorruption(f"malformed header: {exc}", 0) from None
 
 
-@dataclass
-class StoreRecord:
-    """One admitted transaction, as recorded on disk."""
-
-    seq: int
-    tx: SExpr
-    result: object  # TxResult: an SExpr, or ABORT
-    entries: list[LogEntry]
-    externals: list[ExternalSend]
-    k_len_after: int
-
-    @property
-    def committed(self) -> bool:
-        return self.result is not ABORT
-
-    def as_tx_record(self) -> TxRecord:
-        return TxRecord(self.tx, self.result, tuple(self.externals))
-
-
 def encode_record(seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int) -> SExpr:
     if outcome.committed:
         tagged = (1, outcome.result)
@@ -203,7 +185,7 @@ def encode_record(seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int) ->
     return chain([seq, tx, tagged, delta, xi, k_len_after])
 
 
-def decode_record(x: SExpr, offset: int) -> StoreRecord:
+def decode_record(x: SExpr, offset: int) -> TxRecord:
     def bad(reason: str):
         return StoreCorruption(reason, offset)
 
@@ -239,7 +221,7 @@ def decode_record(x: SExpr, offset: int) -> StoreRecord:
 
     if result is ABORT and (entries or externals):
         raise bad("aborted record carries effects")
-    return StoreRecord(seq, tx, result, entries, externals, k_len_after)
+    return TxRecord(seq, tx, result, tuple(entries), tuple(externals), k_len_after)
 
 
 # the store ------------------------------------------------------------------
@@ -258,39 +240,13 @@ class RecoveryReport:
         return self.torn_offset is None
 
 
-def _decode_store(
-    data: bytes, path: str, strict: bool
-) -> tuple[KernelConfig, list[StoreRecord], ScanResult]:
-    scan = scan_frames(data, strict=strict)
-    if not scan.payloads:
-        raise StoreUninitialized(f"no complete header frame in {path}")
-    config = decode_header(_parse_payload(scan.payloads[0], 0))
-
-    records: list[StoreRecord] = []
-    k_len = 0
-    for i, payload in enumerate(scan.payloads[1:]):
-        record = decode_record(_parse_payload(payload, i + 1), i + 1)
-        if record.seq != i:
-            raise StoreCorruption(
-                f"record sequence {record.seq} where {i} expected", i + 1
-            )
-        expected = k_len + len(record.entries) if record.committed else k_len
-        if record.k_len_after != expected:
-            raise StoreCorruption(
-                f"record {i} log length {record.k_len_after} != {expected}", i + 1
-            )
-        k_len = record.k_len_after
-        records.append(record)
-    return config, records, scan
-
-
 @dataclass(frozen=True)
 class StoreSnapshot:
     """A store's decoded content without a write handle.
 
     Snapshots never truncate or reopen the file, so inspection commands
-    built on them are provably read-only.  Quacks like a Store wherever
-    only config and records are consulted (replay_verify, replication).
+    built on them are provably read-only.  replay_verify and replicate
+    take a snapshot or a Store alike: both read only config and records.
     """
 
     config: KernelConfig
@@ -298,6 +254,7 @@ class StoreSnapshot:
     report: RecoveryReport
 
     def committed_state(self) -> KernelState:
+        """The log that the records' deltas add up to."""
         state = KernelState()
         for record in self.records:
             state.append_all(record.entries)
@@ -305,17 +262,44 @@ class StoreSnapshot:
 
 
 def read_store(path: str, strict: bool = False) -> StoreSnapshot:
-    """Decode a store file touching nothing: no truncation, no handle kept."""
+    """Decode a store file touching nothing: no truncation, no handle kept.
+
+    A torn tail is reported, not read, unless strict makes it corruption.
+    Every record's arithmetic is revalidated against its predecessor.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    config, records, scan = _decode_store(data, path, strict)
-    dropped = len(data) - scan.clean_end
-    report = RecoveryReport(len(records), scan.torn_offset, dropped)
+    scan = scan_frames(data, strict=strict)
+    if not scan.payloads:
+        raise StoreUninitialized(f"no complete header frame in {path}")
+    config = decode_header(_parse_payload(scan.payloads[0], 0))
+
+    records: list[TxRecord] = []
+    k_len = 0
+    for i, payload in enumerate(scan.payloads[1:]):
+        record = decode_record(_parse_payload(payload, i + 1), i + 1)
+        if record.seq != i:
+            raise StoreCorruption(
+                f"record sequence {record.seq} where {i} expected", i + 1
+            )
+        expected = k_len + len(record.entries)  # an abort decodes with none
+        if record.k_len_after != expected:
+            raise StoreCorruption(
+                f"record {i} log length {record.k_len_after} != {expected}", i + 1
+            )
+        k_len = record.k_len_after
+        records.append(record)
+    report = RecoveryReport(len(records), scan.torn_offset, len(data) - scan.clean_end)
     return StoreSnapshot(config, tuple(records), report)
 
 
 class Store:
-    """Append-only frame file plus its decoded records.
+    """Append-only frame file plus the records its frames hold.
+
+    append() writes a frame and nothing else.  The record joins `records`
+    when its outcome is applied to a system: a DurableSystem's SystemState
+    shares this list, so Kernel.apply extends both at once and each
+    admitted transaction is held once.
 
     sync picks the durability point of each append: "fsync" forces the
     data to disk, "flush" hands it to the OS, "none" leaves it buffered.
@@ -327,7 +311,7 @@ class Store:
         self,
         path: str,
         config: KernelConfig,
-        records: list[StoreRecord],
+        records: list[TxRecord],
         handle,
         sync: str,
         group_size: int,
@@ -339,6 +323,7 @@ class Store:
         self.path = path
         self.config = config
         self.records = records
+        self._seq = len(records)  # sequence number of the next frame
         self._fh = handle
         self._sync = sync
         self._group_size = group_size
@@ -369,39 +354,27 @@ class Store:
         group_size: int = 1,
         strict: bool = False,
     ) -> tuple["Store", RecoveryReport]:
-        """Read a store back, dropping a torn tail unless strict.
+        """read_store, then truncate a torn tail and open the write handle.
 
         Recovery needs no re-execution: the recorded deltas are the state.
-        Every record's arithmetic is revalidated against its predecessor.
         """
-        with open(path, "rb") as fh:
-            data = fh.read()
-        config, records, scan = _decode_store(data, path, strict)
-        dropped = len(data) - scan.clean_end
-        if scan.torn_offset is not None:
+        snapshot = read_store(path, strict)
+        report = snapshot.report
+        if not report.clean:
             with open(path, "r+b") as fh:
-                fh.truncate(scan.clean_end)
+                fh.truncate(report.torn_offset)
         handle = open(path, "ab")
-        report = RecoveryReport(len(records), scan.torn_offset, dropped)
-        return cls(path, config, records, handle, sync, group_size), report
+        store = cls(path, snapshot.config, list(snapshot.records), handle, sync, group_size)
+        return store, report
 
-    def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> StoreRecord:
-        seq = len(self.records)
-        payload = dumps(encode_record(seq, tx, outcome, k_len_after)).encode("ascii")
+    def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> None:
+        """Write the frame of the next record; records grows when it is applied."""
+        payload = dumps(encode_record(self._seq, tx, outcome, k_len_after)).encode("ascii")
         self._fh.write(encode_frame(payload))
+        self._seq += 1
         self._pending_syncs += 1
         if self._pending_syncs >= self._group_size:
             self.settle()
-        record = StoreRecord(
-            seq,
-            tx,
-            outcome.result,
-            list(outcome.entries),
-            list(outcome.externals),
-            k_len_after,
-        )
-        self.records.append(record)
-        return record
 
     def settle(self) -> None:
         """Apply the sync policy to everything buffered so far."""
@@ -427,11 +400,7 @@ class Store:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def committed_state(self) -> KernelState:
-        state = KernelState()
-        for record in self.records:
-            state.append_all(record.entries)
-        return state
+    committed_state = StoreSnapshot.committed_state
 
 
 class DurableSystem:
@@ -451,15 +420,12 @@ class DurableSystem:
     @classmethod
     def create(cls, path: str, config: Optional[KernelConfig] = None, **store_kw) -> "DurableSystem":
         store = Store.create(path, config, **store_kw)
-        return cls(store, Kernel(store.config), SystemState.fresh())
+        return cls(store, Kernel(store.config), SystemState(records=store.records))
 
     @classmethod
     def open(cls, path: str, **store_kw) -> tuple["DurableSystem", RecoveryReport]:
         store, report = Store.open(path, **store_kw)
-        system = SystemState.fresh()
-        for record in store.records:
-            system.kernel.append_all(record.entries)
-            system.records.append(record.as_tx_record())
+        system = SystemState(store.committed_state(), store.records)
         return cls(store, Kernel(store.config), system), report
 
     @property
@@ -496,52 +462,59 @@ class Divergence:
         return f"record {self.seq} diverges on {self.field}"
 
 
-def _rows_equal(recorded, replayed, fields) -> bool:
+def _rows_equal(recorded, replayed) -> bool:
+    """Rows (log entries or outward sends) equal field by field."""
     if len(recorded) != len(replayed):
         return False
     for a, b in zip(recorded, replayed):
-        for f in fields:
-            if not equal(getattr(a, f), getattr(b, f)):
+        for x, y in zip(a, b):
+            if not equal(x, y):
                 return False
     return True
+
+
+def replay_compare(
+    records: Sequence[TxRecord], kernel: Kernel
+) -> tuple[SystemState, Optional[tuple[int, str]]]:
+    """Re-execute records from an empty state against what they recorded.
+
+    Returns the replayed system and the first divergence as (seq, field),
+    field being "result", "delta", "k_len" or "externals", or None.  Each
+    record itself is applied once its outcome matches, so the system holds
+    exactly the records replayed so far.
+    """
+    system = SystemState.fresh()
+    state = system.kernel
+    for record in records:
+        outcome = kernel.execute(state, state.size, record.tx)
+        if outcome.committed != record.committed or (
+            record.committed and not equal(outcome.result, record.result)
+        ):
+            return system, (record.seq, "result")
+        if not _rows_equal(record.entries, outcome.entries):
+            return system, (record.seq, "delta")
+        if state.size + len(record.entries) != record.k_len_after:
+            return system, (record.seq, "k_len")
+        if not _rows_equal(record.externals, outcome.externals):
+            return system, (record.seq, "externals")
+        state.append_all(record.entries)
+        system.records.append(record)
+    return system, None
 
 
 def replay_verify(
     store: Union[Store, StoreSnapshot], kernel: Optional[Kernel] = None
 ) -> Optional[Divergence]:
-    """Re-execute every record from an empty state; report the first mismatch.
-
-    The recorded delta (not the replayed one) is applied after each
-    comparison, so a single divergence does not cascade into noise.
-    """
-    kernel = kernel or Kernel(store.config)
-    state = KernelState()
-    for record in store.records:
-        outcome = kernel.execute(state, state.size, record.tx)
-        if outcome.committed != record.committed:
-            return Divergence(record.seq, "result")
-        if record.committed:
-            if not equal(outcome.result, record.result):
-                return Divergence(record.seq, "result")
-            if not _rows_equal(
-                record.entries, outcome.entries, ("receiver", "caller", "message")
-            ):
-                return Divergence(record.seq, "delta")
-            if state.size + len(record.entries) != record.k_len_after:
-                return Divergence(record.seq, "k_len")
-        if not _rows_equal(
-            record.externals, outcome.externals, ("sender", "target", "message")
-        ):
-            return Divergence(record.seq, "externals")
-        state.append_all(record.entries)
-    return None
+    """Re-execute every record from an empty state; report the first mismatch."""
+    _, mismatch = replay_compare(store.records, kernel or Kernel(store.config))
+    return None if mismatch is None else Divergence(*mismatch)
 
 
 Cursor = tuple[int, int]
 
 
 def dispatch_externals(
-    records: list[StoreRecord],
+    records: Sequence[TxRecord],
     sink: Callable[[Cursor, ExternalSend], None],
     cursor: Cursor = (0, 0),
 ) -> Cursor:

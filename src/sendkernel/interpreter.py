@@ -40,7 +40,7 @@ from .state import ABORT, Effects, ExternalSend, LogEntry, StateView, TxResult, 
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
-__all__ = ["Budget", "DEFAULT_STEP_BUDGET", "run", "send"]
+__all__ = ["Budget", "DEFAULT_STEP_BUDGET", "run"]
 
 
 class Budget:
@@ -50,11 +50,15 @@ class Budget:
     budget at exactly the same step.
     """
 
-    __slots__ = ("remaining", "spent")
+    __slots__ = ("start", "remaining")
 
     def __init__(self, steps: int = DEFAULT_STEP_BUDGET) -> None:
+        self.start = steps
         self.remaining = steps
-        self.spent = 0
+
+    @property
+    def spent(self) -> int:
+        return self.start - self.remaining
 
 
 # _dispatch outcome tags
@@ -148,7 +152,6 @@ def run(
         if budget.remaining <= 0:
             return ABORT
         budget.remaining -= 1
-        budget.spent += 1
 
         frame = frames[-1]
         ins = frame[1]
@@ -217,61 +220,3 @@ def run(
         # Any other pair: push the head verbatim, continue with the tail.
         frame[0].append(head)
         frame[1] = rest
-
-
-def send(
-    target: SExpr,
-    message: SExpr,
-    sender: int,
-    log_value: SExpr,
-    caller: SExpr,
-    view: StateView,
-    effects: Effects,
-    budget: Optional[Budget] = None,
-    alloc_fn=alloc_sequential,
-    builtin_fn=builtin,
-    tracer=None,
-    probes: Optional[set] = None,
-) -> TxResult:
-    """One send outside any running program; same semantics as [2,k].
-
-    Useful for exercising dispatch directly; transactions go through
-    txn.Kernel.execute, which seeds the standard top-level context.
-    """
-    if budget is None:
-        budget = Budget()
-    kind, payload, pending = _dispatch(
-        target,
-        message,
-        sender,
-        log_value,
-        caller,
-        view,
-        effects,
-        alloc_fn,
-        builtin_fn,
-        tracer,
-        probes,
-    )
-    if kind == _ABORT:
-        return ABORT
-    if kind == _VALUE:
-        return payload
-    result = run(
-        payload,
-        payload[0],
-        view,
-        effects,
-        budget,
-        alloc_fn,
-        builtin_fn,
-        tracer,
-        probes,
-    )
-    if result is ABORT:
-        return ABORT
-    if pending is not None:
-        effects.entries.append(pending)
-        if tracer is not None:
-            tracer.on_append(pending, pending.caller)
-    return result

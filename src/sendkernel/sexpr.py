@@ -108,6 +108,7 @@ def dumps(x: SExpr) -> str:
 
 
 _WS = " \t\r\n"
+_DIGITS = frozenset("0123456789")  # str.isdigit would also take other scripts' digits
 
 
 def parse(text: str) -> SExpr:
@@ -135,10 +136,10 @@ def parse(text: str) -> SExpr:
                 stack.append(None)
                 i += 1
                 continue
-            if not ch.isdigit():
+            if ch not in _DIGITS:
                 raise ParseError(f"unexpected character {ch!r}", i)
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             digits = text[start:i]
             if len(digits) > 1 and digits[0] == "0":

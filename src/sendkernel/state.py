@@ -84,15 +84,20 @@ class Effects:
 
 @dataclass(frozen=True)
 class TxRecord:
-    """One admitted transaction's permanent outcome.
+    """One admitted transaction's permanent outcome, as held and as stored.
 
-    `externals` is empty whenever `result` is ABORT: an aborted
-    transaction releases nothing to the outside world.
+    seq is the admission index and k_len_after the committed log length
+    once the record is applied.  `entries` and `externals` are empty
+    whenever `result` is ABORT: an aborted transaction appends nothing and
+    releases nothing to the outside world.
     """
 
+    seq: int
     tx: SExpr
     result: TxResult
-    externals: tuple[ExternalSend, ...] = ()
+    entries: tuple[LogEntry, ...]
+    externals: tuple[ExternalSend, ...]
+    k_len_after: int
 
     @property
     def committed(self) -> bool:
@@ -173,19 +178,15 @@ class StateView:
         self.pending = pending if pending is not None else []
         self.tracer = tracer
 
-    def _prefix_positions(self, receiver: int) -> list[int]:
-        positions = self.kstate.positions_of(receiver)
-        cut = bisect_left(positions, self.k_len)
-        return positions[:cut]
-
     def log_of(self, receiver: int) -> list[tuple[int, SExpr]]:
         """The (caller, message) rows addressed to receiver, oldest first."""
         if self.tracer is not None:
             self.tracer.on_projection("log", receiver)
         entries = self.kstate.entries
+        positions = self.kstate.positions_of(receiver)
         rows = [
             (entries[p].caller, entries[p].message)
-            for p in self._prefix_positions(receiver)
+            for p in positions[: bisect_left(positions, self.k_len)]
         ]
         for e in self.pending:
             if e.receiver == receiver:
@@ -210,8 +211,8 @@ class StateView:
         """The birth-record message: immutable for the object's lifetime."""
         if self.tracer is not None:
             self.tracer.on_projection("program", ident)
-        positions = self._prefix_positions(ident)
-        if positions:
+        positions = self.kstate.positions_of(ident)
+        if positions and positions[0] < self.k_len:
             return self.kstate.entries[positions[0]].message
         for e in self.pending:
             if e.receiver == ident:
@@ -222,7 +223,7 @@ class StateView:
         """Number of creation records, i.e. |log(0)|; feeds the allocators."""
         if self.tracer is not None:
             self.tracer.on_projection("registry", KERNEL_IDENTITY)
-        n = len(self._prefix_positions(KERNEL_IDENTITY))
+        n = bisect_left(self.kstate.positions_of(KERNEL_IDENTITY), self.k_len)
         for e in self.pending:
             if e.receiver == KERNEL_IDENTITY:
                 n += 1

@@ -4,8 +4,10 @@ execute() runs one submission against a state snapshot and returns its
 effects without applying them.  submit() is the system step: execute,
 then either append the pending entries and release the external sends
 (commit), or keep the state untouched and release nothing (abort).
-Either way exactly one TxRecord is appended, so the record sequence is a
-complete, replayable account of everything that was ever admitted.
+Either way apply() appends exactly one TxRecord, and nothing else appends
+to a system's record list (a durable store writes its frame but shares
+the list), so the record sequence is a complete, replayable account of
+everything that was ever admitted.
 """
 
 from __future__ import annotations
@@ -134,9 +136,12 @@ class Kernel:
         """Fold an already-computed outcome into the system."""
         if outcome.committed:
             system.kernel.append_all(outcome.entries)
-            record = TxRecord(tx, outcome.result, tuple(outcome.externals))
+            entries, externals = tuple(outcome.entries), tuple(outcome.externals)
         else:
-            record = TxRecord(tx, ABORT, ())
+            entries = externals = ()
+        record = TxRecord(
+            len(system.records), tx, outcome.result, entries, externals, system.kernel.size
+        )
         system.records.append(record)
         return record
 

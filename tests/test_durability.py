@@ -27,6 +27,8 @@ from sendkernel.durability import (
     replay_verify,
     scan_frames,
 )
+from sendkernel.compose import replicate
+from sendkernel.scheduler import run_concurrent
 from sendkernel.sexpr import chain, dumps, parse
 from sendkernel.txn import ExecResult
 from sendkernel.state import ExternalSend, LogEntry
@@ -148,15 +150,15 @@ class TestRecordCodec:
         enc = encode_record(3, (1, 2), self.outcome(), 2)
         rec = decode_record(enc, 0)
         assert rec.seq == 3 and rec.tx == (1, 2) and rec.result == 14
-        assert rec.entries == [LogEntry(0, 1, 14), LogEntry(14, 1, (8, 0))]
-        assert rec.externals == [ExternalSend(1, (3, 4), 77)]
+        assert rec.entries == (LogEntry(0, 1, 14), LogEntry(14, 1, (8, 0)))
+        assert rec.externals == (ExternalSend(1, (3, 4), 77),)
         assert rec.k_len_after == 2 and rec.committed
 
     def test_abort_round_trip(self):
         enc = encode_record(0, (1, 2), self.outcome(committed=False), 0)
         rec = decode_record(enc, 0)
         assert rec.result is ABORT and not rec.committed
-        assert rec.entries == [] and rec.externals == []
+        assert rec.entries == () and rec.externals == ()
 
     def test_abort_with_effects_rejected(self):
         bad = chain([0, (1, 2), 0, chain([chain([5, 1, 0])]), 0, 0])
@@ -226,7 +228,7 @@ class TestStoreLifecycle:
         store, _ = Store.open(str(p))
         rec = store.records[0]
         assert not rec.committed and rec.k_len_after == 0
-        assert rec.entries == [] and rec.externals == []
+        assert rec.entries == () and rec.externals == ()
         store.close()
 
     @pytest.mark.parametrize("sync", ["fsync", "flush", "none"])
@@ -322,7 +324,7 @@ class TestTruncationSweep:
         ds, _ = DurableSystem.open(str(p))
         staged = [[]]
         for rec in ds.store.records:
-            staged.append(staged[-1] + rec.entries)
+            staged.append(staged[-1] + list(rec.entries))
         expected_lines = {
             n: [f"{e.receiver} {e.caller} {dumps(e.message)}" for e in rows]
             for n, rows in enumerate(staged)
@@ -344,6 +346,33 @@ class TestTruncationSweep:
             got = store.committed_state().canonical_lines()
             assert got == expected_lines[n], cut
             store.close()
+
+
+class TestOneRecordList:
+    def test_scheduler_and_submit_extend_one_list(self, tmp_path):
+        # run_concurrent hands each outcome to store.append and then to
+        # Kernel.apply; only the second may add the record.
+        p = tmp_path / "s.log"
+        durable = DurableSystem.create(str(p), sync="none")
+        batch = [tx_create(ECHO), tx_send(14, 5), TX_ABORT, tx_outward(5, 1), tx_create(ECHO)]
+        run_concurrent(
+            durable.kernel, durable.system, batch, workers=2, on_commit=durable.store.append
+        )
+        later = [tx_send(15, 7), TX_ABORT, tx_create(ECHO)]
+        for tx in later:
+            durable.submit(tx)
+
+        records = durable.system.records
+        assert records is durable.store.records
+        assert len(records) == len(batch) + len(later)
+        assert [r.seq for r in records] == list(range(len(records)))
+        _, divergence = replicate(durable.store, n=1)
+        assert divergence is None
+        durable.close()
+
+        back, report = DurableSystem.open(str(p), strict=True)
+        assert report.clean and back.store.records == records
+        back.close()
 
 
 class TestReplayVerify:

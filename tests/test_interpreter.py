@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from sendkernel.interpreter import Budget, run, send
+from sendkernel.interpreter import Budget, run
 from sendkernel.sexpr import equal
 from sendkernel.state import ABORT, Effects, KernelState, LogEntry, StateView
+from sendkernel.txn import Kernel
 
 
 def asm(*ops, end=0):
@@ -303,24 +304,30 @@ class TestBudget:
 
 
 class TestSendFunction:
+    """One top-level send through Kernel.execute: what it leaves in the delta."""
+
+    @staticmethod
+    def send_once(kstate, target, message):
+        tx = (asm(("push", message), ("push", target), ("send",)), 0)
+        return Kernel().execute(kstate, kstate.size, tx)
+
     def test_direct_send_kernel(self):
-        effects = Effects()
-        view = StateView(KernelState(), 0, effects.entries)
-        result = send(0, ECHO, 1, 0, 1, view, effects)
-        assert result == 14
-        assert effects.entries == [LogEntry(0, 1, 14), LogEntry(14, 1, ECHO)]
+        outcome = self.send_once(KernelState(), 0, ECHO)
+        assert outcome.result == 14
+        assert outcome.entries == [LogEntry(0, 1, 14), LogEntry(14, 1, ECHO)]
 
     def test_direct_send_persistent_appends_after_return(self):
-        k = state_with((14, ECHO))
-        effects = Effects()
-        view = StateView(k, k.size, effects.entries)
-        result = send(14, 3, 1, 0, 1, view, effects)
-        assert result == (1, 3)
-        assert effects.entries == [LogEntry(14, 1, 3)]
+        k = state_with((14, ECHO), (15, SHOW_LOG))
+        outcome = self.send_once(k, 14, 3)
+        assert outcome.result == (1, 3)
+        assert outcome.entries == [LogEntry(14, 1, 3)]
+        # A receiver that returns its own log does not see the message in
+        # flight: its entry lands only after its frame has returned.
+        assert self.send_once(k, 15, 3).result == ((1, SHOW_LOG), 0)
 
     def test_direct_send_abort_no_partial_entry(self):
-        k = state_with((14, 4))  # program is the abort instruction
-        effects = Effects()
-        view = StateView(k, k.size, effects.entries)
-        assert send(14, 3, 1, 0, 1, view, effects) is ABORT
-        assert effects.entries == []
+        # The receiver creates an object, then runs the abort instruction.
+        k = state_with((14, asm(("push", ECHO), ("push", 0), ("send",), end=4)))
+        outcome = self.send_once(k, 14, 3)
+        assert outcome.result is ABORT
+        assert outcome.entries == [] and k.size == 2

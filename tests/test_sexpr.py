@@ -112,6 +112,24 @@ class TestCanonicalText:
         with pytest.raises(ParseError):
             parse(bad)
 
+    # Digits outside ASCII 0-9: str.isdigit accepts these, and int() folds
+    # some of them onto ASCII values, which would give one value two texts.
+    @pytest.mark.parametrize(
+        "bad, offset",
+        [
+            ("٣", 0),  # ARABIC-INDIC DIGIT THREE
+            ("[1,٣]", 3),
+            ("1٠", 1),  # ARABIC-INDIC DIGIT ZERO after an ASCII digit
+            ("７", 0),  # FULLWIDTH DIGIT SEVEN
+            ("²", 0),  # SUPERSCRIPT TWO: isdigit, but int() refuses it
+            ("[¹,0]", 1),
+        ],
+    )
+    def test_rejects_non_ascii_digits(self, bad, offset):
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert info.value.offset == offset
+
     def test_error_offset(self):
         err = None
         try:

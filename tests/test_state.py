@@ -55,8 +55,8 @@ class TestAbortMarker:
         assert not isinstance(ABORT, (int, tuple))
 
     def test_txrecord_committed_flag(self):
-        assert TxRecord((0, 0), 5).committed
-        assert not TxRecord((0, 0), ABORT).committed
+        assert TxRecord(0, (0, 0), 5, (), (), 0).committed
+        assert not TxRecord(0, (0, 0), ABORT, (), (), 0).committed
 
 
 class TestProjections:
@@ -100,6 +100,16 @@ class TestProjections:
         k.append_all([LogEntry(14, 1, 8)])  # appends beyond the pin stay invisible
         assert v.log_of(14) == []
         assert StateView(k).log_of(14) == [(1, 7), (1, 8)]
+
+    def test_pin_before_birth_falls_through_to_pending(self):
+        k = KernelState.from_entries([LogEntry(0, 1, 14), LogEntry(14, 1, 7)])
+        assert StateView(k, k_len=1, pending=[LogEntry(14, 1, 9)]).program_of(14) == 9
+        with pytest.raises(UndefinedObjectError):
+            StateView(k, k_len=1).program_of(14)
+        assert StateView(k, k_len=2).program_of(14) == 7
+        assert [StateView(k, k_len=n).registry_len() for n in (0, 1, 2)] == [0, 1, 1]
+        pending = [LogEntry(0, 1, 15), LogEntry(15, 1, 3), LogEntry(0, 1, 16)]
+        assert StateView(k, k_len=1, pending=pending).registry_len() == 3
 
     def test_matches_bruteforce_reference(self):
         rng = random.Random(1918)
