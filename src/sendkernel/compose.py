@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
-from .durability import Store, replay_compare
+from .durability import Store, next_external, replay_compare
 from .sexpr import SExpr, is_atom, is_pair
 from .state import ExternalSend, TxRecord
 from .txn import Kernel, KernelConfig, SystemState
@@ -76,8 +76,7 @@ class Instance:
         self.kernel = kernel
         self.durable = durable
         self.system = durable.system if durable is not None else SystemState.fresh()
-        self._seq = len(self.system.records)
-        self._index = 0
+        self._cursor = (len(self.system.records), 0)
 
     def submit(self, tx: SExpr) -> TxRecord:
         if self.durable is not None:
@@ -86,17 +85,13 @@ class Instance:
 
     def take_external(self) -> Optional[tuple[tuple[int, int], ExternalSend]]:
         """Next undelivered outward send, tagged (record seq, index)."""
-        records = self.system.records
-        while self._seq < len(records):
-            sends = records[self._seq].externals
-            if self._index < len(sends):
-                tag = (self._seq, self._index)
-                send = sends[self._index]
-                self._index += 1
-                return tag, send
-            self._seq += 1
-            self._index = 0
-        return None
+        item = next_external(self.system.records, self._cursor)
+        tag, send = item
+        if send is None:
+            self._cursor = tag
+            return None
+        self._cursor = (tag[0], tag[1] + 1)
+        return item
 
     def canonical_lines(self) -> list[str]:
         return self.system.kernel.canonical_lines()

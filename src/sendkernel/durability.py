@@ -44,6 +44,7 @@ __all__ = [
     "replay_compare",
     "replay_verify",
     "dispatch_externals",
+    "next_external",
     "encode_frame",
     "scan_frames",
 ]
@@ -513,6 +514,23 @@ def replay_verify(
 Cursor = tuple[int, int]
 
 
+def next_external(
+    records: Sequence[TxRecord], cursor: Cursor
+) -> tuple[Cursor, Optional[ExternalSend]]:
+    """The first outward send at or after cursor, with its (seq, index) tag.
+
+    Walks records in admission order; past the last send it returns the
+    end cursor (len(records) or beyond, 0) and None.
+    """
+    seq, index = cursor
+    while seq < len(records):
+        sends = records[seq].externals
+        if index < len(sends):
+            return (seq, index), sends[index]
+        seq, index = seq + 1, 0
+    return (seq, 0), None
+
+
 def dispatch_externals(
     records: Sequence[TxRecord],
     sink: Callable[[Cursor, ExternalSend], None],
@@ -524,16 +542,12 @@ def dispatch_externals(
     failed send, so a retry re-presents it under the same tag.  Nothing
     is ever delivered from an aborted record: its send list is empty.
     """
-    seq, index = cursor
-    while seq < len(records):
-        sends = records[seq].externals
-        while index < len(sends):
-            tag = (seq, index)
-            try:
-                sink(tag, sends[index])
-            except Exception:
-                return tag
-            index += 1
-        seq += 1
-        index = 0
-    return (seq, 0)
+    while True:
+        tag, send = next_external(records, cursor)
+        if send is None:
+            return tag
+        try:
+            sink(tag, send)
+        except Exception:
+            return tag
+        cursor = (tag[0], tag[1] + 1)

@@ -14,9 +14,12 @@ sending to it.
 Sends to persistent objects run the receiver's program in a fresh
 context (positions 2/3/4 rebound to the receiver); sends to plain pairs
 run the pair as code in the sender's own context (positions 2/3/4
-inherited).  Nesting is tracked with an explicit frame stack so depth is
-bounded by the step budget, not by the host call stack.  Any undefined
-step aborts the whole transaction: there is no catch.
+inherited).  A persistent frame's L[3] is materialised on first read:
+the log is encoded only when a recall reads it, or when a send runs
+while L holds just its five seeds and so takes L[3] as its message.
+Nesting is tracked with an explicit frame stack so depth is bounded by
+the step budget, not by the host call stack.  Any undefined step aborts
+the whole transaction: there is no catch.
 """
 
 from __future__ import annotations
@@ -59,6 +62,33 @@ class Budget:
     @property
     def spent(self) -> int:
         return self.start - self.remaining
+
+
+class _LazyLog:
+    """The receiver's log as of its dispatch, encoded on first read.
+
+    Captures the pinned committed prefix and the pending rows that existed
+    at dispatch, so rows appended later in the transaction (say, the
+    completion entry of a re-entrant call) never show.  Not an
+    s-expression: the run loop forces it before a program can observe it.
+    """
+
+    __slots__ = ("view", "receiver", "n_pending", "value")
+
+    def __init__(self, view: StateView, receiver: int) -> None:
+        self.view = view
+        self.receiver = receiver
+        self.n_pending = len(view.pending)
+        self.value = None
+
+    def force(self) -> SExpr:
+        view = self.view
+        if view is not None:
+            # A view without a tracer: the projection event fired at dispatch.
+            rows = StateView(view.kstate, view.k_len, view.pending[: self.n_pending])
+            self.value = encode_log(rows.log_of(self.receiver))
+            self.view = None
+        return self.value
 
 
 # _dispatch outcome tags
@@ -115,8 +145,9 @@ def _dispatch(
 
     if case is DispatchCase.PERSISTENT:
         program = view.program_of(target)
-        history = encode_log(view.log_of(target))
-        ctx = [program, message, target, history, sender]
+        if view.tracer is not None:
+            view.tracer.on_projection("log", target)
+        ctx = [program, message, target, _LazyLog(view, target), sender]
         return (_FRAME, ctx, LogEntry(target, sender, message))
 
     if case is DispatchCase.PAIR_FORM:
@@ -175,6 +206,8 @@ def run(
 
         if head == OP_SEND:
             fctx = frame[0]
+            if len(fctx) == 5 and type(fctx[3]) is _LazyLog:
+                fctx[3] = fctx[3].force()  # fctx[-2] is L[3]: the log is the message
             target = fctx[-1]
             message = fctx[-2]
             kind, payload, pending = _dispatch(
@@ -206,7 +239,10 @@ def run(
             fctx = frame[0]
             if not is_atom(j) or j >= len(fctx):
                 return ABORT
-            fctx.append(fctx[j])
+            value = fctx[j]
+            if type(value) is _LazyLog:
+                value = fctx[j] = value.force()
+            fctx.append(value)
             frame[1] = k
             continue
 

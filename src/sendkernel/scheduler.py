@@ -35,7 +35,7 @@ from .sexpr import SExpr
 from .state import TxRecord
 from .txn import ExecResult, Kernel, SystemState
 
-__all__ = ["ScheduleOutcome", "write_set", "footprint", "conflicts", "run_concurrent"]
+__all__ = ["ScheduleOutcome", "write_set", "footprint", "run_concurrent"]
 
 
 def write_set(outcome: ExecResult) -> frozenset:
@@ -46,10 +46,6 @@ def write_set(outcome: ExecResult) -> frozenset:
 def footprint(outcome: ExecResult) -> frozenset:
     """Everything the outcome depended on: writes plus dispatch probes."""
     return write_set(outcome) | outcome.probes
-
-
-def conflicts(mine: frozenset, committed_writes: frozenset) -> bool:
-    return not mine.isdisjoint(committed_writes)
 
 
 @dataclass
@@ -84,7 +80,9 @@ def run_concurrent(
     n = len(txs)
     slots = [_Slot(tx) for tx in txs]
     ready = [threading.Event() for _ in range(n)]
-    committed_writes: list[frozenset] = []
+    records: list[TxRecord] = []
+    # identity -> index in `records` of the last commit that wrote it
+    last_commit: dict[int, int] = {}
     lock = threading.Lock()
     cursor = iter(range(n))
 
@@ -95,7 +93,7 @@ def run_concurrent(
                 if i is None:
                     return
                 slot = slots[i]
-                slot.snapshot = len(committed_writes)
+                slot.snapshot = len(records)
                 k_len = system.kernel.size
             try:
                 slot.outcome = kernel.execute(system.kernel, k_len, slot.tx)
@@ -108,7 +106,6 @@ def run_concurrent(
         t.start()
 
     retries = 0
-    records: list[TxRecord] = []
     try:
         for i in range(n):
             ready[i].wait()
@@ -116,10 +113,10 @@ def run_concurrent(
             if slot.error is not None:
                 raise slot.error
             outcome = slot.outcome
-            mine = footprint(outcome)
+            # Stale iff something committed since the snapshot wrote an
+            # identity this execution depended on.
             stale = any(
-                conflicts(mine, committed_writes[j])
-                for j in range(slot.snapshot, len(committed_writes))
+                last_commit.get(ident, -1) >= slot.snapshot for ident in footprint(outcome)
             )
             if stale:
                 outcome = kernel.execute(system.kernel, system.kernel.size, slot.tx)
@@ -127,9 +124,10 @@ def run_concurrent(
             if on_commit is not None:
                 delta = len(outcome.entries) if outcome.committed else 0
                 on_commit(slot.tx, outcome, system.kernel.size + delta)
+            for ident in write_set(outcome):
+                last_commit[ident] = len(records)
             with lock:
                 records.append(kernel.apply(system, slot.tx, outcome))
-                committed_writes.append(write_set(outcome))
     finally:
         for t in threads:
             t.join()

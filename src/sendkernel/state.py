@@ -162,9 +162,23 @@ class StateView:
     invisible; `pending` is the live (growing) entry list of the
     transaction being executed.  An optional tracer observes every
     projection for the read-confinement checks.
+
+    `pending` only ever grows, so the lookups that need it read an index
+    extended from a high-water mark instead of rescanning the list: the
+    identities it creates, its first row per receiver (the birth, for a
+    created object) and its count of creation records.
     """
 
-    __slots__ = ("kstate", "k_len", "pending", "tracer")
+    __slots__ = (
+        "kstate",
+        "k_len",
+        "pending",
+        "tracer",
+        "_indexed",
+        "_created",
+        "_first",
+        "_registry",
+    )
 
     def __init__(
         self,
@@ -177,6 +191,23 @@ class StateView:
         self.k_len = kstate.size if k_len is None else k_len
         self.pending = pending if pending is not None else []
         self.tracer = tracer
+        self._indexed = 0
+        self._created: set[int] = set()
+        self._first: dict[int, SExpr] = {}
+        self._registry = 0
+
+    def _index_pending(self) -> None:
+        """Fold the pending entries appended since the last lookup into the index."""
+        pending = self.pending
+        n = len(pending)
+        for i in range(self._indexed, n):
+            e = pending[i]
+            self._first.setdefault(e.receiver, e.message)
+            if e.receiver == KERNEL_IDENTITY:
+                self._registry += 1
+                if is_atom(e.message):
+                    self._created.add(e.message)
+        self._indexed = n
 
     def log_of(self, receiver: int) -> list[tuple[int, SExpr]]:
         """The (caller, message) rows addressed to receiver, oldest first."""
@@ -202,10 +233,8 @@ class StateView:
         pos = self.kstate.created_at(ident)
         if pos is not None and pos < self.k_len:
             return True
-        for e in self.pending:
-            if e.receiver == KERNEL_IDENTITY and e.message == ident:
-                return True
-        return False
+        self._index_pending()
+        return ident in self._created
 
     def program_of(self, ident: int) -> SExpr:
         """The birth-record message: immutable for the object's lifetime."""
@@ -214,20 +243,18 @@ class StateView:
         positions = self.kstate.positions_of(ident)
         if positions and positions[0] < self.k_len:
             return self.kstate.entries[positions[0]].message
-        for e in self.pending:
-            if e.receiver == ident:
-                return e.message
-        raise UndefinedObjectError(ident)
+        self._index_pending()
+        try:
+            return self._first[ident]
+        except KeyError:
+            raise UndefinedObjectError(ident) from None
 
     def registry_len(self) -> int:
         """Number of creation records, i.e. |log(0)|; feeds the allocators."""
         if self.tracer is not None:
             self.tracer.on_projection("registry", KERNEL_IDENTITY)
-        n = bisect_left(self.kstate.positions_of(KERNEL_IDENTITY), self.k_len)
-        for e in self.pending:
-            if e.receiver == KERNEL_IDENTITY:
-                n += 1
-        return n
+        self._index_pending()
+        return bisect_left(self.kstate.positions_of(KERNEL_IDENTITY), self.k_len) + self._registry
 
 
 def encode_log(rows: Iterable[tuple[int, SExpr]]) -> SExpr:

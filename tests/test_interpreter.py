@@ -1,13 +1,17 @@
 """Interpreter case table, dispatch integration, context rules, budget."""
 
+import random
 import sys
 
 import pytest
 
+from sendkernel import interpreter
+from sendkernel.assembler import SEED_MESSAGE, ProgramBuilder, Slot
 from sendkernel.interpreter import Budget, run
+from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.sexpr import equal
-from sendkernel.state import ABORT, Effects, KernelState, LogEntry, StateView
-from sendkernel.txn import Kernel
+from sendkernel.state import ABORT, Effects, KernelState, LogEntry, StateView, encode_log
+from sendkernel.txn import Kernel, SystemState
 
 
 def asm(*ops, end=0):
@@ -331,3 +335,150 @@ class TestSendFunction:
         outcome = self.send_once(k, 14, 3)
         assert outcome.result is ABORT
         assert outcome.entries == [] and k.size == 2
+
+
+def _call_14_or_return():
+    """On an atom message: call 14 with 0.  On a pair message: return it."""
+    b = ProgramBuilder()
+    b.branch(
+        Slot(SEED_MESSAGE),
+        asm(("push", 0), ("quote", 14), ("send",)),
+        asm(("recall", 1)),
+        Slot(SEED_MESSAGE),
+    )
+    return b.halt()
+
+
+CALL_14_OR_RETURN = _call_14_or_return()
+
+
+class TestLazyLogSlot:
+    """L[3] of a persistent frame is encoded on first read, as of dispatch.
+
+    Every expected value is the eager encoding the slot used to hold:
+    encode_log over the receiver's rows visible when it was dispatched.
+    """
+
+    @staticmethod
+    def eager_log(kstate, pending, ident):
+        return encode_log(StateView(kstate, kstate.size, list(pending)).log_of(ident))
+
+    def test_reentered_object_sees_its_log_as_of_dispatch(self):
+        # 14 sends 0 to its message, then returns its log; 15 calls 14
+        # back with 13.  The top level pokes 14 with 13, then with 15, so
+        # 14 is re-entered inside its second call.
+        a = asm(("push", 0), ("recall", 1), ("send",), ("recall", 3))
+        b = asm(("push", 13), ("quote", 14), ("send",))
+        k = state_with((14, a), (15, b), extra=[LogEntry(14, 1, 8)])
+        prog = asm(("push", 13), ("quote", 14), ("send",), ("push", 15), ("quote", 14), ("send",))
+        result, effects, _ = run_top(prog, 0, k)
+        first_call = LogEntry(14, 1, 13)
+        inner_call = LogEntry(14, 15, 13)
+        assert effects.entries == [first_call, inner_call, LogEntry(15, 14, 0), LogEntry(14, 1, 15)]
+        assert result == self.eager_log(k, [first_call], 14)
+        assert result != self.eager_log(k, [first_call, inner_call], 14)
+
+    def first_send_hands_log_to_caller(self, program_14):
+        k = state_with((14, program_14), (15, CALL_14_OR_RETURN), extra=[LogEntry(14, 1, 8)])
+        outcome = Kernel().execute(k, k.size, (asm(("push", 0), ("quote", 15), ("send",)), 0))
+        log = self.eager_log(k, [], 14)
+        assert outcome.result == log
+        assert outcome.entries == [LogEntry(15, 14, log), LogEntry(14, 15, 0), LogEntry(15, 1, 0)]
+
+    def test_persistent_first_send_takes_the_log_as_message(self):
+        # A send as the first instruction: target L[4], message L[3].
+        self.first_send_hands_log_to_caller((2, 0))
+
+    def test_ephemeral_first_send_takes_the_inherited_log(self):
+        # The fragment [2,0] runs with L[3] inherited from 14's frame.
+        self.first_send_hands_log_to_caller(asm(("push", 0), ("quote", (2, 0)), ("send",)))
+
+    def test_no_handle_escapes_a_random_corpus(self, monkeypatch):
+        # Programs that read their log, send it on first, or inherit it
+        # into fragments, next to criterion 6's random send programs.  The
+        # same corpus run with every slot forced at dispatch must agree.
+        from test_acceptance import _random_value, random_program
+
+        readers = [
+            SHOW_LOG,
+            (2, 0),
+            asm(("push", 0), ("quote", (2, 0)), ("send",)),
+            asm(("push", 0), ("quote", SHOW_LOG), ("send",)),
+            asm(("push", 0), ("recall", 1), ("send",), ("recall", 3)),
+            CALL_14_OR_RETURN,
+            ECHO,
+        ]
+
+        def corpus_outcomes():
+            rng = random.Random(4242)
+            kernel, system = Kernel(), SystemState.fresh()
+            kernel.submit(system, creator(*readers))
+            idents = list(range(14, 14 + len(readers)))
+            outcomes = []
+            for i in range(600):
+                if i % 2:
+                    tx = (random_program(rng, idents), _random_value(rng))
+                else:
+                    target, message = rng.choice(idents), rng.choice(idents + [0, (1, 2)])
+                    tx = (asm(("push", message), ("push", target), ("send",)), 0)
+                outcome = kernel.execute(system.kernel, system.kernel.size, tx)
+                kernel.apply(system, tx, outcome)
+                outcomes.append(outcome)
+            return outcomes
+
+        def pure(value):
+            stack = [value]
+            while stack:
+                v = stack.pop()
+                if isinstance(v, tuple) and len(v) == 2:
+                    stack.extend(v)
+                elif type(v) is not int:
+                    return False
+            return True
+
+        encoded = []
+
+        def counting_encode_log(rows):
+            encoded.append(1)
+            return encode_log(rows)
+
+        monkeypatch.setattr(interpreter, "encode_log", counting_encode_log)
+        lazy = corpus_outcomes()
+        lazy_reads = len(encoded)
+        assert sum(o.committed for o in lazy) > 200
+        assert lazy_reads > 100
+        for o in lazy:
+            assert o.result is ABORT or pure(o.result)
+            assert all(pure(e.message) for e in o.entries)
+            assert all(pure(x.target) and pure(x.message) for x in o.externals)
+
+        class ForcedAtDispatch(interpreter._LazyLog):
+            __slots__ = ()
+
+            def __init__(self, view, receiver):
+                super().__init__(view, receiver)
+                self.force()
+
+        monkeypatch.setattr(interpreter, "_LazyLog", ForcedAtDispatch)
+        eager = corpus_outcomes()
+        assert len(encoded) - lazy_reads > lazy_reads
+        assert [(o.result, o.entries, o.externals, o.steps) for o in lazy] == [
+            (o.result, o.entries, o.externals, o.steps) for o in eager
+        ]
+
+    def test_echo_pokes_encode_no_log(self, monkeypatch):
+        calls = []
+
+        def counting_encode_log(rows):
+            calls.append(1)
+            return encode_log(rows)
+
+        monkeypatch.setattr(interpreter, "encode_log", counting_encode_log)
+        kernel, system = Kernel(), SystemState.fresh()
+        kernel.submit(system, creator(ECHO_PROGRAM, SHOW_LOG))
+        for i in range(2000):
+            assert kernel.submit(system, poke(14, i)).result == (1, i)
+        assert calls == []
+        # One log read encodes once, over the history it was dispatched with.
+        assert kernel.submit(system, poke(15, 0)).result == ((1, SHOW_LOG), 0)
+        assert calls == [1]

@@ -14,7 +14,7 @@ import pytest
 
 from sendkernel import ABORT, Kernel, KernelConfig, SystemState
 from sendkernel.durability import Store, replay_verify
-from sendkernel.scheduler import conflicts, footprint, run_concurrent, write_set
+from sendkernel.scheduler import footprint, run_concurrent, write_set
 
 from test_interpreter import ECHO, asm
 
@@ -74,10 +74,6 @@ class TestFootprints:
         outcome = kernel.execute(SystemState.fresh().kernel, 0, tx_send(20, 1))
         assert outcome.result is ABORT
         assert 20 in footprint(outcome)
-
-    def test_conflicts(self):
-        assert conflicts(frozenset({0, 14}), frozenset({14}))
-        assert not conflicts(frozenset({15}), frozenset({14}))
 
 
 class TestEquivalence:

@@ -110,6 +110,33 @@ class TestProjections:
         assert [StateView(k, k_len=n).registry_len() for n in (0, 1, 2)] == [0, 1, 1]
         pending = [LogEntry(0, 1, 15), LogEntry(15, 1, 3), LogEntry(0, 1, 16)]
         assert StateView(k, k_len=1, pending=pending).registry_len() == 3
+        # The same view answers again after the pending list grows.
+        pending = []
+        v = StateView(k, k_len=1, pending=pending)
+        with pytest.raises(UndefinedObjectError):
+            v.program_of(14)
+        pending.append(LogEntry(14, 1, 9))
+        assert v.program_of(14) == 9 and v.exists(14) and v.registry_len() == 1
+
+    @given(st.randoms(use_true_random=False))
+    def test_pending_lookups_match_linear_scan_as_pending_grows(self, rng):
+        committed = random_entries(rng, rng.randrange(0, 30))
+        k = KernelState.from_entries(committed)
+        cut = rng.randrange(0, len(committed) + 1)
+        pending = []
+        v = StateView(k, k_len=cut, pending=pending)
+        for _ in range(rng.randrange(1, 6)):
+            pending.extend(random_entries(rng, rng.randrange(0, 8)))
+            visible = committed[:cut] + pending
+            for ident in range(0, 26):
+                assert v.exists(ident) == ref_exists(visible, ident)
+                rows = ref_log_of(visible, ident)
+                if rows:
+                    assert v.program_of(ident) == rows[0][1]
+                else:
+                    with pytest.raises(UndefinedObjectError):
+                        v.program_of(ident)
+            assert v.registry_len() == len(ref_log_of(visible, 0))
 
     def test_matches_bruteforce_reference(self):
         rng = random.Random(1918)
