@@ -77,28 +77,29 @@ def _print_results(rows, fmt: str, out) -> None:
         print(f"{s:>4}  {status:<6}  {text}", file=out)
 
 
-def load_transactions(path: str) -> list[SExpr]:
-    """Parse a transaction file, refusing the whole file on any bad line."""
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line of an ASCII file."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.readlines()
     except OSError as e:
         raise AdmissionError(path, 0, str(e)) from None
-    txs: list[SExpr] = []
-    for number, line in enumerate(raw, 1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            value = parse(text)
-        except ParseError as e:
-            raise AdmissionError(path, number, str(e)) from None
-        if not is_pair(value):
-            raise AdmissionError(
-                path, number, "transaction must be a [program, input] pair"
-            )
-        txs.append(value)
-    return txs
+    return [(number, line.strip()) for number, line in enumerate(raw, 1) if line.strip()]
+
+
+def _parse_tx(path: str, number: int, text: str) -> SExpr:
+    try:
+        value = parse(text)
+    except ParseError as e:
+        raise AdmissionError(path, number, str(e)) from None
+    if not is_pair(value):
+        raise AdmissionError(path, number, "transaction must be a [program, input] pair")
+    return value
+
+
+def load_transactions(path: str) -> list[SExpr]:
+    """Parse a transaction file, refusing the whole file on any bad line."""
+    return [_parse_tx(path, number, text) for number, text in _read_lines(path)]
 
 
 def _open_or_create(args) -> DurableSystem:
@@ -137,17 +138,9 @@ def cmd_exec(args) -> int:
     durable = _open_or_create(args)
     try:
         start = len(durable.system.records)
-        if args.workers == 1:
-            records = [durable.submit(tx) for tx in txs]
-        else:
-            outcome = run_concurrent(
-                durable.kernel,
-                durable.system,
-                txs,
-                workers=args.workers,
-                on_commit=durable.store.append,
-            )
-            records = outcome.records
+        records = run_concurrent(
+            durable.kernel, durable.system, txs, args.workers, durable.store.append
+        ).records
         rows = [(start + i, r.result) for i, r in enumerate(records)]
         _print_results(rows, args.format, sys.stdout)
     finally:
@@ -235,31 +228,15 @@ def _load_topology(path: str) -> list[dict]:
 
 
 def _load_scenario(path: str, known: set) -> list[tuple[int, SExpr]]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.readlines()
-    except OSError as e:
-        raise AdmissionError(path, 0, str(e)) from None
     sends: list[tuple[int, SExpr]] = []
-    for number, line in enumerate(raw, 1):
-        text = line.strip()
-        if not text:
-            continue
+    for number, text in _read_lines(path):
         parts = text.split(None, 1)
         if len(parts) != 2 or not parts[0].isdigit():
             raise AdmissionError(path, number, "expected '<instance-key> [p,i]'")
         key = int(parts[0])
         if key not in known:
             raise AdmissionError(path, number, f"unknown instance {key}")
-        try:
-            tx = parse(parts[1])
-        except ParseError as e:
-            raise AdmissionError(path, number, str(e)) from None
-        if not is_pair(tx):
-            raise AdmissionError(
-                path, number, "transaction must be a [program, input] pair"
-            )
-        sends.append((key, tx))
+        sends.append((key, _parse_tx(path, number, parts[1])))
     return sends
 
 
@@ -306,6 +283,13 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
 def _add_store_flags(sub, creation: bool) -> None:
     sub.add_argument("--store", required=True, help="store file path")
     if creation:
@@ -324,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exec = commands.add_parser("exec", help="submit a transaction file to a store")
     p_exec.add_argument("txfile", help="one canonical [program, input] per line")
     _add_store_flags(p_exec, creation=True)
-    p_exec.add_argument("--workers", type=int, default=1)
+    p_exec.add_argument("--workers", type=_positive_int, default=1)
     p_exec.add_argument("--format", choices=("table", "lines"), default="table")
     p_exec.set_defaults(func=cmd_exec)
 
@@ -344,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = commands.add_parser("demo", help="run a packaged scenario fixture")
     p_demo.add_argument("fixture", choices=sorted(FIXTURES))
-    p_demo.add_argument("--workers", type=int, default=1)
+    p_demo.add_argument("--workers", type=_positive_int, default=1)
     p_demo.add_argument("--format", choices=("table", "lines"), default="table")
     p_demo.set_defaults(func=cmd_demo)
 
@@ -368,25 +352,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK if not e.code else EXIT_USAGE
     try:
         return args.func(args)
-    except AdmissionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (StoreCorruption, StoreUninitialized) as e:
+    except (StoreCorruption, StoreUninitialized, RoutingLimit) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     except FixtureMismatch as e:
         print(f"fixture mismatch: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except RoutingLimit as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileExistsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (FileNotFoundError, FileExistsError, ValueError) as e:  # AdmissionError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .sexpr import SExpr, chain, dumps, equal, is_atom, is_pair, parse, unchain
-from .state import ABORT, ExternalSend, KernelState, LogEntry, TxRecord
+from .state import ABORT, ExternalSend, KernelState, LogEntry, TxRecord, rows_equal
 from .txn import ExecResult, Kernel, KernelConfig, SystemState
 
 __all__ = [
@@ -305,7 +305,8 @@ class Store:
     sync picks the durability point of each append: "fsync" forces the
     data to disk, "flush" hands it to the OS, "none" leaves it buffered.
     group_size batches appends between durability points; close() always
-    settles the tail.
+    settles the tail.  A failed write, flush or fsync cuts the file back
+    to its last settled frame and closes the store until it is reopened.
     """
 
     def __init__(
@@ -329,6 +330,7 @@ class Store:
         self._sync = sync
         self._group_size = group_size
         self._pending_syncs = 0
+        self._settled_end = handle.tell()  # end of the last frame settled
 
     @classmethod
     def create(
@@ -370,8 +372,14 @@ class Store:
 
     def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> None:
         """Write the frame of the next record; records grows when it is applied."""
+        if self._fh.closed:
+            raise ValueError(f"store {self.path} is closed; reopen it to append")
         payload = dumps(encode_record(self._seq, tx, outcome, k_len_after)).encode("ascii")
-        self._fh.write(encode_frame(payload))
+        try:
+            self._fh.write(encode_frame(payload))
+        except BaseException:
+            self._abandon()
+            raise
         self._seq += 1
         self._pending_syncs += 1
         if self._pending_syncs >= self._group_size:
@@ -379,21 +387,34 @@ class Store:
 
     def settle(self) -> None:
         """Apply the sync policy to everything buffered so far."""
-        if self._sync == "none":
-            self._pending_syncs = 0
-            return
-        self._fh.flush()
-        if self._sync == "fsync":
-            os.fsync(self._fh.fileno())
+        if self._sync != "none":
+            self._flush()
         self._pending_syncs = 0
 
+    def _flush(self) -> None:
+        try:
+            self._fh.flush()
+            if self._sync == "fsync":
+                os.fsync(self._fh.fileno())
+        except BaseException:
+            self._abandon()
+            raise
+        self._settled_end = self._fh.tell()
+
+    def _abandon(self) -> None:
+        """Cut the file back to its last settled frame and close it unflushed:
+        a buffered writer whose raw file is closed never flushes again.
+        """
+        raw = self._fh.raw
+        try:
+            os.ftruncate(raw.fileno(), self._settled_end)
+        finally:
+            raw.close()
+
     def close(self) -> None:
-        if self._fh.closed:
-            return
-        self._fh.flush()
-        if self._sync == "fsync":
-            os.fsync(self._fh.fileno())
-        self._fh.close()
+        if not self._fh.closed:
+            self._flush()
+            self._fh.close()
 
     def __enter__(self) -> "Store":
         return self
@@ -429,15 +450,8 @@ class DurableSystem:
         system = SystemState(store.committed_state(), store.records)
         return cls(store, Kernel(store.config), system), report
 
-    @property
-    def k_len(self) -> int:
-        return self.system.k_len
-
     def submit(self, tx: SExpr) -> TxRecord:
-        outcome = self.kernel.execute(self.system.kernel, self.system.k_len, tx)
-        k_len_after = self.system.k_len + (len(outcome.entries) if outcome.committed else 0)
-        self.store.append(tx, outcome, k_len_after)
-        return self.kernel.apply(self.system, tx, outcome)
+        return self.kernel.submit(self.system, tx, self.store.append)
 
     def close(self) -> None:
         self.store.close()
@@ -463,17 +477,6 @@ class Divergence:
         return f"record {self.seq} diverges on {self.field}"
 
 
-def _rows_equal(recorded, replayed) -> bool:
-    """Rows (log entries or outward sends) equal field by field."""
-    if len(recorded) != len(replayed):
-        return False
-    for a, b in zip(recorded, replayed):
-        for x, y in zip(a, b):
-            if not equal(x, y):
-                return False
-    return True
-
-
 def replay_compare(
     records: Sequence[TxRecord], kernel: Kernel
 ) -> tuple[SystemState, Optional[tuple[int, str]]]:
@@ -492,11 +495,11 @@ def replay_compare(
             record.committed and not equal(outcome.result, record.result)
         ):
             return system, (record.seq, "result")
-        if not _rows_equal(record.entries, outcome.entries):
+        if not rows_equal(record.entries, outcome.entries):
             return system, (record.seq, "delta")
         if state.size + len(record.entries) != record.k_len_after:
             return system, (record.seq, "k_len")
-        if not _rows_equal(record.externals, outcome.externals):
+        if not rows_equal(record.externals, outcome.externals):
             return system, (record.seq, "externals")
         state.append_all(record.entries)
         system.records.append(record)

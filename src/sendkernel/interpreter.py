@@ -24,8 +24,6 @@ the whole transaction: there is no catch.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .dispatch import (
     DispatchCase,
     EXTERNAL,
@@ -108,7 +106,6 @@ def _dispatch(
     alloc_fn,
     builtin_fn,
     tracer,
-    probes,
 ):
     """One send, classified and (for the pure cases) fully applied.
 
@@ -118,8 +115,6 @@ def _dispatch(
     frame completes: an object never sees its own in-flight message in
     its log, and inner entries land before outer ones.
     """
-    if probes is not None and is_atom(target):
-        probes.add(target)
     if tracer is not None:
         tracer.on_classify(target)
     case = classify(target, view)
@@ -173,7 +168,6 @@ def run(
     alloc_fn=alloc_sequential,
     builtin_fn=builtin,
     tracer=None,
-    probes: Optional[set] = None,
 ) -> TxResult:
     """Drive a context to completion; ABORT poisons every enclosing frame."""
     frames: list = [[ctx, instr, None]]
@@ -221,7 +215,6 @@ def run(
                 alloc_fn,
                 builtin_fn,
                 tracer,
-                probes,
             )
             if kind == _ABORT:
                 return ABORT

@@ -252,7 +252,7 @@ class FixtureTrace:
 
 
 class _Runner:
-    """Submits fixture transactions serially or through the scheduler."""
+    """Submits fixture transactions through the scheduler's serial loop."""
 
     def __init__(self, workers: int = 1, config: Optional[KernelConfig] = None):
         self.kernel = Kernel(config or KernelConfig())
@@ -261,12 +261,7 @@ class _Runner:
         self.rows: list[TraceRow] = []
 
     def submit_all(self, txs: list[SExpr]) -> list[TxRecord]:
-        if self.workers == 1:
-            records = [self.kernel.submit(self.system, tx) for tx in txs]
-        else:
-            records = run_concurrent(
-                self.kernel, self.system, txs, workers=self.workers
-            ).records
+        records = run_concurrent(self.kernel, self.system, txs, workers=self.workers).records
         base = len(self.rows)
         self.rows.extend(
             TraceRow(base + i, tx, rec.result) for i, (tx, rec) in enumerate(zip(txs, records))

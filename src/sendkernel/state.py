@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .sexpr import SExpr, dumps, is_atom
+from .sexpr import SExpr, dumps, equal, is_atom
 
 KERNEL_IDENTITY = 0
 EXTERNAL_IDENTITY = 1
@@ -34,6 +34,7 @@ __all__ = [
     "StateView",
     "UndefinedObjectError",
     "encode_log",
+    "rows_equal",
 ]
 
 
@@ -82,7 +83,18 @@ class Effects:
     externals: list[ExternalSend] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+def rows_equal(a, b) -> bool:
+    """Rows (log entries or outward sends) equal field by field."""
+    if len(a) != len(b):
+        return False
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            if not equal(x, y):
+                return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class TxRecord:
     """One admitted transaction's permanent outcome, as held and as stored.
 
@@ -90,6 +102,9 @@ class TxRecord:
     once the record is applied.  `entries` and `externals` are empty
     whenever `result` is ABORT: an aborted transaction appends nothing and
     releases nothing to the outside world.
+
+    Equality and repr never recurse on values, so records of any depth
+    compare and print; records are unhashable, since hashing would recurse.
     """
 
     seq: int
@@ -102,6 +117,23 @@ class TxRecord:
     @property
     def committed(self) -> bool:
         return not isinstance(self.result, Abort)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TxRecord):
+            return NotImplemented
+        return (
+            self.seq == other.seq
+            and self.k_len_after == other.k_len_after
+            and self.committed == other.committed
+            and (not self.committed or equal(self.result, other.result))
+            and equal(self.tx, other.tx)
+            and rows_equal(self.entries, other.entries)
+            and rows_equal(self.externals, other.externals)
+        )
+
+    def __repr__(self) -> str:
+        result = dumps(self.result) if self.committed else "ABORT"
+        return f"TxRecord(seq={self.seq}, result={result}, k_len_after={self.k_len_after})"
 
 
 class UndefinedObjectError(KeyError):
@@ -158,7 +190,7 @@ class KernelState:
 class StateView:
     """Lookups over a committed prefix extended by pending entries.
 
-    `k_len` pins the committed prefix so concurrent appends beyond it are
+    `k_len` pins the committed prefix so later commits beyond it are
     invisible; `pending` is the live (growing) entry list of the
     transaction being executed.  An optional tracer observes every
     projection for the read-confinement checks.

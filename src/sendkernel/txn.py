@@ -13,7 +13,7 @@ everything that was ever admitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .dispatch import EXTERNAL, alloc_sequential, builtin, make_hash_allocator
 from .interpreter import Budget, DEFAULT_STEP_BUDGET, run
@@ -29,7 +29,7 @@ from .state import (
     TxResult,
 )
 
-__all__ = ["KernelConfig", "ExecResult", "Kernel", "SystemState"]
+__all__ = ["KernelConfig", "ExecResult", "OnCommit", "Kernel", "SystemState"]
 
 ALLOCATOR_KINDS = ("seq", "hash")
 
@@ -56,12 +56,15 @@ class ExecResult:
     result: TxResult
     entries: list[LogEntry]
     externals: list[ExternalSend]
-    probes: set[int]
     steps: int
 
     @property
     def committed(self) -> bool:
         return self.result is not ABORT
+
+
+# on_commit(tx, outcome, k_len_after), called before the outcome is applied
+OnCommit = Callable[[SExpr, ExecResult, int], None]
 
 
 @dataclass
@@ -110,11 +113,10 @@ class Kernel:
         program to run and aborts.
         """
         effects = Effects()
-        probes: set[int] = set()
         budget = Budget(self.config.step_budget)
         view = StateView(kstate, k_len, effects.entries, tracer=self.tracer)
         if not is_pair(tx):
-            return ExecResult(ABORT, [], [], probes, 0)
+            return ExecResult(ABORT, [], [], 0)
         program, message = tx
         ctx = [program, message, EXTERNAL, 0, EXTERNAL]
         result = run(
@@ -126,11 +128,10 @@ class Kernel:
             self.alloc_fn,
             self.builtin_fn,
             self.tracer,
-            probes,
         )
         if result is ABORT:
-            return ExecResult(ABORT, [], [], probes, budget.spent)
-        return ExecResult(result, effects.entries, effects.externals, probes, budget.spent)
+            return ExecResult(ABORT, [], [], budget.spent)
+        return ExecResult(result, effects.entries, effects.externals, budget.spent)
 
     def apply(self, system: SystemState, tx: SExpr, outcome: ExecResult) -> TxRecord:
         """Fold an already-computed outcome into the system."""
@@ -145,7 +146,18 @@ class Kernel:
         system.records.append(record)
         return record
 
-    def submit(self, system: SystemState, tx: SExpr) -> TxRecord:
-        """Admit one transaction: commit its effects or none of them."""
+    def submit(
+        self, system: SystemState, tx: SExpr, on_commit: Optional[OnCommit] = None
+    ) -> TxRecord:
+        """Admit one transaction: commit its effects or none of them.
+
+        This is the one admission path.  on_commit, if given, sees
+        (tx, outcome, k_len_after) before the outcome is applied, so a
+        durable store writes its frame first and an on_commit that raises
+        leaves the system untouched.
+        """
         outcome = self.execute(system.kernel, system.kernel.size, tx)
+        if on_commit is not None:
+            delta = len(outcome.entries) if outcome.committed else 0
+            on_commit(tx, outcome, system.kernel.size + delta)
         return self.apply(system, tx, outcome)

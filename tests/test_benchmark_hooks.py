@@ -1,11 +1,17 @@
-"""The benchmark's tracer wraps module attributes by name; they must exist.
+"""The benchmark calls and wraps program attributes by name; they must exist.
 
 perfbench/tracing.py replaces each (owner, attribute) in its WRAPPED table,
-the interpreter's `classify` and the scheduler's `threading` module.  A rename in src/ would break a
-traced benchmark run only when it is made; this checks the names up front.
+the interpreter's `classify` and the scheduler's `threading` module.  The
+scheduler does not use `threading`; it keeps the import because the
+tracer swaps that attribute for a timed shim and fails if it is missing.
+perfbench/workloads.py calls `run_concurrent(..., workers=, on_commit=)` and
+the tracer reads `ScheduleOutcome.retries`.  A rename in src/ would break a
+benchmark run only when it is made; this checks the names up front.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -38,3 +44,10 @@ def test_classify_and_threading_resolve():
     assert callable(getattr(interpreter, "classify", None))
     assert hasattr(scheduler, "threading")
     assert hasattr(scheduler.threading, "Event")
+
+
+def test_scheduler_call_shape_resolves():
+    params = inspect.signature(scheduler.run_concurrent).parameters
+    assert "workers" in params and "on_commit" in params
+    fields = {f.name for f in dataclasses.fields(scheduler.ScheduleOutcome)}
+    assert "retries" in fields

@@ -142,6 +142,17 @@ def test_exec_workers_match_serial(tmp_path, capsys):
     assert a.committed_state().canonical_lines() == b.committed_state().canonical_lines()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_bad_worker_count_is_rejected_before_a_store_exists(tmp_path, capsys, workers):
+    txfile = write_txfile(tmp_path / "txs", delegation_transactions())
+    store = tmp_path / "s.store"
+    code, _, err = run_main(capsys, ["exec", txfile, "--store", str(store), "--workers", workers])
+    assert code == EXIT_USAGE
+    assert "--workers" in err
+    assert not store.exists()
+    assert run_main(capsys, ["demo", "auction", "--workers", workers])[0] == EXIT_USAGE
+
+
 def test_verify_honest_store(delegation_store, capsys):
     store, _ = delegation_store
     code, out, _ = run_main(capsys, ["verify", "--store", str(store)])

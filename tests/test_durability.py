@@ -6,6 +6,7 @@ frame that fails its checksum or the record arithmetic is damage that must
 be reported, never repaired silently.
 """
 
+import errno
 import os
 
 import pytest
@@ -24,6 +25,7 @@ from sendkernel.durability import (
     encode_frame,
     encode_header,
     encode_record,
+    read_store,
     replay_verify,
     scan_frames,
 )
@@ -143,8 +145,8 @@ class TestRecordCodec:
         entries = [LogEntry(0, 1, 14), LogEntry(14, 1, (8, 0))]
         externals = [ExternalSend(1, (3, 4), 77)]
         if committed:
-            return ExecResult(14, entries, externals, set(), 10)
-        return ExecResult(ABORT, [], [], set(), 10)
+            return ExecResult(14, entries, externals, 10)
+        return ExecResult(ABORT, [], [], 10)
 
     def test_commit_round_trip(self):
         enc = encode_record(3, (1, 2), self.outcome(), 2)
@@ -244,6 +246,85 @@ class TestStoreLifecycle:
     def test_unknown_sync_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             Store.create(str(tmp_path / "x.log"), sync="sometimes")
+
+
+class FailingHandle:
+    """The store's real handle, except that one write or flush fails once.
+
+    A failing write first puts half its bytes in the file, as a short write
+    on a full disk does.
+    """
+
+    def __init__(self, real, fail_on):
+        self.real = real
+        self.fail_on = fail_on
+
+    def _armed(self, call):
+        if self.fail_on != call:
+            return False
+        self.fail_on = None
+        return True
+
+    def write(self, data):
+        if self._armed("write"):
+            self.real.write(data[: len(data) // 2])
+            self.real.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.real.write(data)
+
+    def flush(self):
+        if self._armed("flush"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.real.flush()
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+class TestFailedAppend:
+    @pytest.mark.parametrize(
+        "sync, fail_on", [("flush", "write"), ("flush", "flush"), ("fsync", "fsync")]
+    )
+    def test_store_reopens_with_exactly_the_acknowledged_records(
+        self, tmp_path, monkeypatch, sync, fail_on
+    ):
+        p = str(tmp_path / "s.log")
+        ds = DurableSystem.create(p, sync=sync)
+        acknowledged = [ds.submit(tx) for tx in SAMPLE_TXS[:3]]
+        ds.store._fh = FailingHandle(ds.store._fh, fail_on)
+        if fail_on == "fsync":
+            real_fsync = os.fsync
+
+            def fsync_once(fd):
+                monkeypatch.setattr(os, "fsync", real_fsync)
+                raise OSError(errno.EIO, "Input/output error")
+
+            monkeypatch.setattr(os, "fsync", fsync_once)
+        with pytest.raises(OSError):
+            ds.submit(SAMPLE_TXS[3])
+        assert ds.system.records == acknowledged  # the failed submission was not applied
+        with pytest.raises(ValueError):
+            ds.submit(SAMPLE_TXS[4])  # refused until reopened
+        ds.close()
+
+        snapshot = read_store(p, strict=True)  # no torn or stray bytes
+        assert list(snapshot.records) == acknowledged
+        back, report = DurableSystem.open(p)
+        assert report.clean and back.system.records == acknowledged
+        back.submit(SAMPLE_TXS[3])
+        back.close()
+        assert replay_verify(read_store(p, strict=True)) is None
+
+    def test_unsettled_frames_are_dropped_with_the_failure(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        ds = DurableSystem.create(p, sync="flush", group_size=2)
+        acknowledged = [ds.submit(tx) for tx in SAMPLE_TXS[:2]]  # settled as a group
+        ds.submit(SAMPLE_TXS[2])  # buffered, not yet settled
+        ds.store._fh = FailingHandle(ds.store._fh, "flush")
+        with pytest.raises(OSError):
+            ds.submit(SAMPLE_TXS[3])
+        ds.close()
+        assert list(read_store(p, strict=True).records) == acknowledged
 
 
 def rewrite_record(path, seq, fn):

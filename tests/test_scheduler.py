@@ -1,20 +1,16 @@
-"""Concurrent admission must be indistinguishable from the serial loop.
+"""Batch admission must be indistinguishable from the serial loop.
 
 The oracle is literal: run the same batch through Kernel.submit one at a
-time and compare every record and the final log bit for bit.  A kernel
-that stalls executions on worker threads (but not on the committing
-thread) forces the stale-snapshot path deterministically.
+time and compare every record and the final log bit for bit.
 """
 
 import random
-import threading
-import time
 
 import pytest
 
-from sendkernel import ABORT, Kernel, KernelConfig, SystemState
+from sendkernel import Kernel, KernelConfig, SystemState
 from sendkernel.durability import Store, replay_verify
-from sendkernel.scheduler import footprint, run_concurrent, write_set
+from sendkernel.scheduler import run_concurrent
 
 from test_interpreter import ECHO, asm
 
@@ -58,24 +54,6 @@ def serial_oracle(config, txs):
     return records, system.kernel.canonical_lines()
 
 
-class TestFootprints:
-    def test_write_set_of_commit(self):
-        kernel = Kernel()
-        outcome = kernel.execute(SystemState.fresh().kernel, 0, tx_create())
-        assert write_set(outcome) == frozenset({0, 14})
-
-    def test_write_set_of_abort_is_empty(self):
-        kernel = Kernel()
-        outcome = kernel.execute(SystemState.fresh().kernel, 0, TX_ABORT)
-        assert write_set(outcome) == frozenset()
-
-    def test_footprint_keeps_probes_of_aborted_execution(self):
-        kernel = Kernel()
-        outcome = kernel.execute(SystemState.fresh().kernel, 0, tx_send(20, 1))
-        assert outcome.result is ABORT
-        assert 20 in footprint(outcome)
-
-
 class TestEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_matches_serial_oracle(self, workers):
@@ -113,48 +91,11 @@ class TestEquivalence:
             run_concurrent(Kernel(), SystemState.fresh(), [], workers=0)
 
 
-class StallingKernel(Kernel):
-    """Sleeps in execute on worker threads, never on the committing thread."""
-
-    def __init__(self, config=None, delay=0.05):
-        super().__init__(config)
-        self.delay = delay
-        self.main = threading.current_thread()
-
-    def execute(self, kstate, k_len, tx):
-        if threading.current_thread() is not self.main:
-            time.sleep(self.delay)
-        return super().execute(kstate, k_len, tx)
-
-
 class TestValidation:
-    def test_probe_of_absent_identity_forces_retry(self):
-        # The send to 14 speculates before the creation commits, observes
-        # an absent identity, and aborts; validation must catch the
-        # creation of 14 and re-execute, or the batch would diverge from
-        # the serial loop.
-        kernel = StallingKernel()
-        system = SystemState.fresh()
-        txs = [tx_create(), tx_send(14, 123)]
-        out = run_concurrent(kernel, system, txs, workers=2)
-        assert out.retries >= 1
-        assert out.records[1].committed
-        assert out.records[1].result == (1, 123)  # echo: [caller, message]
-
-    def test_allocating_speculations_conflict_on_the_registry(self):
-        kernel = StallingKernel(delay=0.02)
-        system = SystemState.fresh()
-        txs = [tx_create() for _ in range(6)]
-        out = run_concurrent(kernel, system, txs, workers=6)
-        assert [r.result for r in out.records] == [14, 15, 16, 17, 18, 19]
-        assert out.retries >= 1
-
     def test_worker_exception_propagates(self):
         class BrokenKernel(Kernel):
             def execute(self, kstate, k_len, tx):
-                if threading.current_thread() is not threading.main_thread():
-                    raise RuntimeError("boom")
-                return super().execute(kstate, k_len, tx)
+                raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
             run_concurrent(BrokenKernel(), SystemState.fresh(), [tx_create()], workers=1)

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.sexpr import dumps
 from sendkernel.state import ABORT, LogEntry
 from sendkernel.txn import Kernel, KernelConfig, SystemState
@@ -105,6 +108,48 @@ class TestSubmit:
         rec = kernel.submit(system, (looper, 0))
         assert not rec.committed
         assert system.k_len == 0
+
+    def test_on_commit_sees_each_outcome_before_it_is_applied(self):
+        kernel, system = fresh()
+        seen = []
+
+        def on_commit(tx, outcome, k_len_after):
+            seen.append((tx, outcome.committed, k_len_after, len(system.records)))
+
+        create = (asm(("quote", ECHO), ("push", 0), ("send",)), 0)
+        first = kernel.submit(system, create, on_commit)
+        second = kernel.submit(system, (4, 0), on_commit)
+        assert seen == [(create, True, 2, 0), ((4, 0), False, 2, 1)]
+        assert (first.k_len_after, second.k_len_after) == (2, 2)
+
+        def refuse(tx, outcome, k_len_after):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            kernel.submit(system, create, refuse)
+        assert len(system.records) == 2 and system.k_len == 2
+
+
+def deep_value(depth, leaf):
+    value = leaf
+    for _ in range(depth):
+        value = (value, 1)
+    return value
+
+
+class TestDeepRecords:
+    def test_records_of_a_200k_deep_message_compare_and_print(self):
+        records = []
+        for leaf in (5, 5, 6):
+            kernel, system = fresh()
+            kernel.submit(system, creator(ECHO_PROGRAM))
+            records.append(kernel.submit(system, poke(14, deep_value(200_000, leaf))))
+        record, twin, other = records
+        assert record is not twin and record == twin
+        assert record != other
+        assert repr(record).startswith("TxRecord(seq=1, result=[1,[[[")
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 class TestDeterminism:
