@@ -23,8 +23,10 @@ between those fields is checked on every open; full semantic verification
 
 from __future__ import annotations
 
+import gc
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -96,6 +98,7 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
     payloads: list[bytes] = []
     pos = 0
     n = len(data)
+    width = len(str(n))  # digits of the longest length that can fit
 
     def torn(at: int) -> ScanResult:
         if strict:
@@ -112,7 +115,10 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
             return torn(start)
         if data[pos] != 0x3A:  # ":"
             raise StoreCorruption("':' expected after frame length", pos)
-        length = int(data[start:pos])
+        # A length of more significant digits than `width` runs past the end
+        # of the data, and int() refuses a field of over 4,300 digits.
+        digits = data[start:pos].lstrip(b"0")
+        length = int(digits or b"0") if len(digits) <= width else n + 1
         pos += 1
 
         crc_end = pos + 8
@@ -190,11 +196,12 @@ def decode_record(x: SExpr, offset: int) -> TxRecord:
     def bad(reason: str):
         return StoreCorruption(reason, offset)
 
+    # Unpacking an atom where a pair belongs raises TypeError.
     try:
-        seq, tx, tagged, delta, xi, k_len_after = unchain(x)
-    except ValueError:
+        seq, (tx, (tagged, (delta, (xi, (k_len_after, end))))) = x
+    except (TypeError, ValueError):
         raise bad("malformed record") from None
-    if not is_atom(seq) or not is_atom(k_len_after):
+    if end != 0 or not is_atom(seq) or not is_atom(k_len_after):
         raise bad("malformed record")
 
     if tagged == 0:
@@ -205,19 +212,21 @@ def decode_record(x: SExpr, offset: int) -> TxRecord:
         raise bad("malformed result tag")
 
     entries = []
+    externals = []
     try:
-        for row in unchain(delta):
-            receiver, caller, message = unchain(row)
-            if not is_atom(receiver) or not is_atom(caller):
+        while is_pair(delta):
+            (receiver, (caller, (message, end))), delta = delta
+            if end != 0 or not is_atom(receiver) or not is_atom(caller):
                 raise ValueError
             entries.append(LogEntry(receiver, caller, message))
-        externals = []
-        for row in unchain(xi):
-            sender, target, message = unchain(row)
-            if not is_atom(sender):
+        while is_pair(xi):
+            (sender, (target, (message, end))), xi = xi
+            if end != 0 or not is_atom(sender):
                 raise ValueError
             externals.append(ExternalSend(sender, target, message))
-    except ValueError:
+        if delta != 0 or xi != 0:
+            raise ValueError
+    except (TypeError, ValueError):
         raise bad("malformed effect row") from None
 
     if result is ABORT and (entries or externals):
@@ -262,6 +271,26 @@ class StoreSnapshot:
         return state
 
 
+@contextmanager
+def _collector_paused():
+    """Hold off the cyclic garbage collector while a store decodes.
+
+    Decoding makes no cycles: its garbage (the scanner's lists) goes by
+    reference counting, and every value it keeps survives.  A collection
+    in the middle frees nothing, yet walks what has been decoded so far,
+    and the older generations walk it again and again.  Paused, the
+    decoded values meet the collector in the first pass after it, which
+    also untracks their pairs.  A collector that was off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_store(path: str, strict: bool = False) -> StoreSnapshot:
     """Decode a store file touching nothing: no truncation, no handle kept.
 
@@ -277,19 +306,20 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
 
     records: list[TxRecord] = []
     k_len = 0
-    for i, payload in enumerate(scan.payloads[1:]):
-        record = decode_record(_parse_payload(payload, i + 1), i + 1)
-        if record.seq != i:
-            raise StoreCorruption(
-                f"record sequence {record.seq} where {i} expected", i + 1
-            )
-        expected = k_len + len(record.entries)  # an abort decodes with none
-        if record.k_len_after != expected:
-            raise StoreCorruption(
-                f"record {i} log length {record.k_len_after} != {expected}", i + 1
-            )
-        k_len = record.k_len_after
-        records.append(record)
+    with _collector_paused():
+        for i, payload in enumerate(scan.payloads[1:]):
+            record = decode_record(_parse_payload(payload, i + 1), i + 1)
+            if record.seq != i:
+                raise StoreCorruption(
+                    f"record sequence {record.seq} where {i} expected", i + 1
+                )
+            expected = k_len + len(record.entries)  # an abort decodes with none
+            if record.k_len_after != expected:
+                raise StoreCorruption(
+                    f"record {i} log length {record.k_len_after} != {expected}", i + 1
+                )
+            k_len = record.k_len_after
+            records.append(record)
     report = RecoveryReport(len(records), scan.torn_offset, len(data) - scan.clean_end)
     return StoreSnapshot(config, tuple(records), report)
 

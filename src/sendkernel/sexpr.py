@@ -9,13 +9,30 @@ with no whitespace emitted and no leading zeros ("0" is the only natural
 starting with a zero digit).  Whitespace between tokens is tolerated on
 input only.
 
-equal/dumps/parse must not rely on host recursion: values nest to depths
-far beyond any recursion limit (logs are right-nested pair chains), so all
-three walk with explicit stacks.
+Canonical text is exactly compact JSON of nested 2-element arrays of
+naturals, so dumps and parse hand the per-node work to CPython's C json
+encoder and scanner.  parse first checks the text against the alphabet of
+digits, brackets, commas and whitespace, then has the C scanner build
+nested lists, then turns those into pairs in one iterative pass that also
+requires every list to hold exactly two items.
+
+Values nest far deeper than any recursion limit (logs are right-nested
+pair chains).  The C code guards its own recursion with the interpreter's
+recursion limit and raises RecursionError at about 1,000 levels; dumps and
+parse then fall back to walkers with explicit stacks (_dumps_walk,
+_parse_walk), as they do for any other text or value the C path refuses:
+malformed text, whose ParseError offset the walker reports, and atoms past
+int()'s 4,300-digit limit, which the walkers convert through decimal.
+sendkernel must never raise the recursion limit: the C path relies on that
+guard to give up before the C stack runs out.  equal walks with an
+explicit stack too.
 """
 
 from __future__ import annotations
 
+import json
+import re
+from decimal import Decimal
 from typing import Union
 
 SExpr = Union[int, tuple]
@@ -82,12 +99,25 @@ def equal(a: SExpr, b: SExpr) -> bool:
     return True
 
 
-_CLOSE = object()
-_COMMA = object()
+# check_circular=False: tuples cannot form cycles, and the check would
+# record the id of every node.
+_encode = json.JSONEncoder(check_circular=False, separators=(",", ":")).encode
 
 
 def dumps(x: SExpr) -> str:
     """Canonical text of a value: injective, whitespace-free."""
+    try:
+        return _encode(x)
+    except (RecursionError, ValueError):  # too deep, or an atom too long
+        return _dumps_walk(x)
+
+
+_CLOSE = object()
+_COMMA = object()
+
+
+def _dumps_walk(x: SExpr) -> str:
+    """dumps with an explicit stack: any depth, atoms of any length."""
     out: list[str] = []
     stack: list = [x]
     while stack:
@@ -97,7 +127,10 @@ def dumps(x: SExpr) -> str:
         elif v is _CLOSE:
             out.append("]")
         elif isinstance(v, int):
-            out.append(str(v))
+            try:
+                out.append(str(v))
+            except ValueError:  # past 4,300 digits; Decimal(int) is exact
+                out.append(str(Decimal(v)))
         else:
             out.append("[")
             stack.append(_CLOSE)
@@ -107,8 +140,8 @@ def dumps(x: SExpr) -> str:
     return "".join(out)
 
 
-_WS = " \t\r\n"
-_DIGITS = frozenset("0123456789")  # str.isdigit would also take other scripts' digits
+_ALPHABET = re.compile(r"[0-9\[\], \t\r\n]*")  # [0-9], unlike \d, is ASCII only
+_decode = json.JSONDecoder().decode
 
 
 def parse(text: str) -> SExpr:
@@ -117,6 +150,50 @@ def parse(text: str) -> SExpr:
     Input may contain whitespace between tokens.  Rejects leading zeros,
     trailing garbage and unterminated pairs, reporting the offense offset.
     """
+    if _ALPHABET.fullmatch(text) is not None:
+        try:
+            return _pairs(_decode(text))
+        except (RecursionError, ValueError):  # JSONDecodeError is a ValueError
+            pass
+    return _parse_walk(text)
+
+
+def _pairs(x) -> SExpr:
+    """Turn the scanner's nested lists into pairs, bottom-up.
+
+    Raises ValueError unless every list holds exactly two items.
+    """
+    if x.__class__ is not list:
+        return x
+    lists = [x]  # breadth-first: every list comes before its children
+    for node in lists:
+        head, tail = node
+        if head.__class__ is list:
+            lists.append(head)
+        if tail.__class__ is list:
+            lists.append(tail)
+    # Children first; a converted list keeps its pair at [2].  The lists
+    # stay alive to the end.  Freeing each as its pair is made lowers the
+    # peak on a 2.6 MB text from 95 to 60 MB, but then allocating a pair
+    # no longer advances the garbage collector's count, the pairs meet it
+    # in bulk later, and stores open 1.3-1.4x slower.
+    for node in reversed(lists):
+        head, tail = node
+        if head.__class__ is list:
+            head = head[2]
+        if tail.__class__ is list:
+            tail = tail[2]
+        node.append((head, tail))
+    return x[2]
+
+
+_WS = " \t\r\n"
+_DIGITS = frozenset("0123456789")  # str.isdigit would also take other scripts' digits
+
+
+def _parse_walk(text: str) -> SExpr:
+    """parse with an explicit stack: any depth, atoms of any length, and the
+    offset of the first offense in malformed text."""
     n = len(text)
     i = 0
     # Each open pair waits first for its head ([] marker None), then, once
@@ -144,7 +221,10 @@ def parse(text: str) -> SExpr:
             digits = text[start:i]
             if len(digits) > 1 and digits[0] == "0":
                 raise ParseError("leading zeros are not canonical", start)
-            value = int(digits)
+            try:
+                value = int(digits)
+            except ValueError:  # past 4,300 digits; Decimal(str) is exact
+                value = int(Decimal(digits))
             have_value = True
             continue
         # A complete value in hand: either we are done, or it fills a slot

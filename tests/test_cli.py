@@ -9,8 +9,8 @@ import pytest
 
 from sendkernel.assembler import Const, ProgramBuilder
 from sendkernel.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from sendkernel.durability import read_store
-from sendkernel.patterns import creator, delegation_transactions
+from sendkernel.durability import DurableSystem, read_store
+from sendkernel.patterns import ECHO_PROGRAM, creator, delegation_transactions, poke
 from sendkernel.sexpr import dumps
 
 
@@ -173,6 +173,35 @@ def test_verify_rejects_tampering(delegation_store, capsys):
 def test_verify_missing_store(tmp_path, capsys):
     code, _, err = run_main(capsys, ["verify", "--store", str(tmp_path / "nope")])
     assert code == EXIT_USAGE
+
+
+def test_overlong_frame_length_is_a_store_error(delegation_store, capsys):
+    # A length field past int()'s 4,300-digit limit runs past the end of
+    # the file: a torn tail for recover, corruption for verify.
+    store, _ = delegation_store
+    with open(store, "ab") as fh:
+        fh.write(b"9" * 5000 + b":00000000:1\n")
+    code, _, err = run_main(capsys, ["verify", "--store", str(store)])
+    assert code == EXIT_MISMATCH and "incomplete final frame" in err
+    code, out, _ = run_main(capsys, ["recover", "--store", str(store)])
+    assert code == EXIT_OK and "recovered 6 transactions" in out
+
+
+def test_verify_and_dump_unbounded_values(tmp_path, capsys):
+    long_atom = 10**5000 + 1
+    deep = 0
+    for i in range(200_000):
+        deep = (deep, i % 3)
+    store = str(tmp_path / "k.store")
+    with DurableSystem.create(store) as ds:
+        ds.submit(creator(ECHO_PROGRAM))
+        ds.submit(poke(14, long_atom))
+        ds.submit(poke(14, deep))
+    code, out, _ = run_main(capsys, ["verify", "--store", store])
+    assert code == EXIT_OK and "verified 3 transactions" in out
+    code, out, _ = run_main(capsys, ["dump", "14", "--store", store, "--format", "lines"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [dumps((1, long_atom)), dumps((1, deep))]
 
 
 def test_recover_reports_torn_tail(delegation_store, capsys):

@@ -7,7 +7,9 @@ be reported, never repaired silently.
 """
 
 import errno
+import gc
 import os
+import zlib
 
 import pytest
 
@@ -30,8 +32,9 @@ from sendkernel.durability import (
     scan_frames,
 )
 from sendkernel.compose import replicate
+from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.scheduler import run_concurrent
-from sendkernel.sexpr import chain, dumps, parse
+from sendkernel.sexpr import chain, dumps, equal, parse
 from sendkernel.txn import ExecResult
 from sendkernel.state import ExternalSend, LogEntry
 
@@ -104,6 +107,26 @@ class TestFrameCodec:
                 with pytest.raises(StoreCorruption):
                     scan_frames(mutant, strict=True)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_length_field_past_the_int_digit_limit(self, strict):
+        # int() refuses decimal text over 4,300 digits; a length that long
+        # runs past the end of any file, so it is a torn tail like any other.
+        good = encode_frame(b"0")
+        image = good + b"9" * 5000 + b":%08x:1\n" % zlib.crc32(b"1")
+        if strict:
+            with pytest.raises(StoreCorruption) as info:
+                scan_frames(image, strict=True)
+            assert info.value.offset == len(good)
+        else:
+            scan = scan_frames(image)
+            assert scan.payloads == [b"0"]
+            assert scan.torn_offset == scan.clean_end == len(good)
+
+    def test_length_field_value_counts_not_its_width(self):
+        image = b"0" * 5000 + encode_frame(b"[1,2]")
+        scan = scan_frames(image, strict=True)
+        assert scan.payloads == [b"[1,2]"] and scan.torn_offset is None
+
     def test_interior_garbage_is_corruption_even_when_lax(self):
         image = encode_frame(b"1") + b"!!!" + encode_frame(b"2")
         with pytest.raises(StoreCorruption):
@@ -140,6 +163,11 @@ class TestHeaderCodec:
             decode_header(bad)
 
 
+def record(seq=0, tagged=(1, 9), delta=0, xi=0, k_len_after=0):
+    """A record payload with tx (1, 2): six fields chained."""
+    return chain([seq, (1, 2), tagged, delta, xi, k_len_after])
+
+
 class TestRecordCodec:
     def outcome(self, committed=True):
         entries = [LogEntry(0, 1, 14), LogEntry(14, 1, (8, 0))]
@@ -171,6 +199,37 @@ class TestRecordCodec:
         bad = chain([0, (1, 2), (1, 9), chain([chain([5, 1])]), 0, 1])
         with pytest.raises(StoreCorruption):
             decode_record(bad, 0)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (chain([0, (1, 2), 0, 0, 0]), "malformed record"),  # 5 fields
+            (chain([0, (1, 2), 0, 0, 0, 0, 0]), "malformed record"),  # 7 fields
+            ((0, ((1, 2), (0, (0, (0, (0, 3)))))), "malformed record"),  # chain ends in 3
+            (0, "malformed record"),  # an atom record
+            (7, "malformed record"),
+            (record((1, 1)), "malformed record"),  # seq not an atom
+            (record(k_len_after=(0, 0)), "malformed record"),
+            (record(tagged=(2, 9)), "malformed result tag"),
+            (record(tagged=1), "malformed result tag"),  # a bare tag
+            (record(delta=chain([chain([5, 1])]), k_len_after=1), "malformed effect row"),
+            (record(delta=chain([chain([5, 1, 0, 0])]), k_len_after=1), "malformed effect row"),
+            (record(delta=chain([(5, (1, (0, 4)))]), k_len_after=1), "malformed effect row"),
+            (record(delta=chain([7]), k_len_after=1), "malformed effect row"),  # atom row
+            (record(delta=chain([chain([(5, 5), 1, 0])]), k_len_after=1), "malformed effect row"),
+            (record(delta=chain([chain([5, (1, 1), 0])]), k_len_after=1), "malformed effect row"),
+            (record(xi=chain([chain([(1, 1), (3, 4), 77])])), "malformed effect row"),
+            (record(xi=chain([chain([1, (3, 4)])])), "malformed effect row"),
+            (record(delta=(chain([5, 1, 0]), 3), k_len_after=1), "malformed effect row"),
+            (record(xi=(chain([1, (3, 4), 77]), 3)), "malformed effect row"),
+            (record(delta=3), "malformed effect row"),
+            (record(tagged=0, xi=chain([chain([1, (3, 4), 77])])), "aborted record carries effects"),
+        ],
+    )
+    def test_malformed_record_reasons(self, bad, reason):
+        with pytest.raises(StoreCorruption) as info:
+            decode_record(bad, 42)
+        assert (info.value.reason, info.value.offset) == (reason, 42)
 
 
 def build_store(path, txs, config=None, sync="none"):
@@ -393,6 +452,50 @@ class TestOpenValidation:
         rewrite_record(str(p), 1, bump_k_len)
         with pytest.raises(StoreCorruption):
             Store.open(str(p))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reading_leaves_the_collector_as_it_was(self, tmp_path, enabled):
+        good, bad = tmp_path / "good.log", tmp_path / "bad.log"
+        build_store(good, SAMPLE_TXS[:2])
+        build_store(bad, SAMPLE_TXS[:3])
+        rewrite_record(str(bad), 1, lambda rec: (rec[0] + 1, rec[1]))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert len(read_store(str(good)).records) == 2
+            assert gc.isenabled() is enabled
+            with pytest.raises(StoreCorruption):
+                read_store(str(bad))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestUnboundedValues:
+    """Atoms past int()'s 4,300-digit limit and values past the recursion
+    limit are ordinary values: a store admits, reopens and replays them."""
+
+    def admit_and_reopen(self, path, message):
+        ds = DurableSystem.create(str(path))
+        ds.submit(creator(ECHO_PROGRAM))
+        admitted = ds.submit(poke(14, message))
+        assert admitted.committed and equal(admitted.entries[0].message, message)
+        ds.close()
+        back, report = DurableSystem.open(str(path))
+        assert report.clean and back.system.records[1] == admitted
+        back.submit(poke(14, 5))
+        back.close()
+        assert replay_verify(read_store(str(path), strict=True)) is None
+
+    def test_long_atom(self, tmp_path):
+        self.admit_and_reopen(tmp_path / "s.log", 10**5000 + 7)
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_deep_message(self, tmp_path, left):
+        message = 3
+        for i in range(200_000):
+            message = (message, i % 10) if left else (i % 10, message)
+        self.admit_and_reopen(tmp_path / "s.log", message)
 
 
 class TestTruncationSweep:

@@ -1,12 +1,15 @@
 """Value domain: construction, equality, canonical text round-trips."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sendkernel import sexpr
 from sendkernel.sexpr import ParseError, atom, dumps, equal, is_atom, is_pair, pair, parse
+from sendkernel.sexpr import _dumps_walk, _parse_walk
 
 
 def sexprs(max_leaves=40):
@@ -106,7 +109,10 @@ class TestCanonicalText:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "[", "[1", "[1,", "[1,2", "]", "01", "[01,2]", "1 2", "[1,2]]", "[1;2]", "-3", "[,1]"],
+        [
+            "", "[", "[1", "[1,", "[1,2", "]", "01", "[01,2]", "1 2", "[1,2]]", "[1;2]", "-3", "[,1]",
+            "[]", "[1]", "[1,2,3]", "[[1,2,3],4]", "[0,[1,[]]]", "1.5", "1e3", "true", "null",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
@@ -137,3 +143,106 @@ class TestCanonicalText:
         except ParseError as e:
             err = e
         assert err is not None and err.offset == 4
+
+
+ALPHABET = "0123456789[], \t\r\n"
+LONG = 10**5000 + 12345  # past int()'s 4,300-digit limit on str and int
+
+
+def with_long_atoms():
+    """Values in which a negative atom -k stands for LONG + k.
+
+    Hypothesis cannot print an int past the digit limit, so the test
+    widens the markers itself: see widen().
+    """
+    return st.recursive(
+        st.integers(min_value=-3, max_value=10**30),
+        lambda inner: st.tuples(inner, inner),
+        max_leaves=20,
+    )
+
+
+def widen(x):
+    if is_atom(x):
+        return LONG - x if x < 0 else x
+    return (widen(x[0]), widen(x[1]))
+
+
+def outcome(fn, text):
+    """What a parser makes of text: its value's canonical text, or the
+    ParseError offset."""
+    try:
+        return ("value", _dumps_walk(fn(text)))
+    except ParseError as e:
+        return ("error", e.offset)
+
+
+def nested(depth, left):
+    x = 0
+    for i in range(depth):
+        x = (x, i % 7) if left else (i % 7, x)
+    return x
+
+
+class TestLongAtoms:
+    def test_round_trip(self):
+        text = dumps(LONG)
+        assert len(text) == 5001 and text.endswith("12345")
+        assert parse(text) == LONG
+        assert parse("1" * 5000) == (10**5000 - 1) // 9
+
+    def test_leading_zeros_still_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse("[1,0" + "1" * 5000 + "]")
+        assert info.value.offset == 3
+
+
+class TestDifferential:
+    """The C-backed codec against the explicit-stack walkers it falls back to."""
+
+    @given(with_long_atoms())
+    def test_dumps_matches_walker(self, x):
+        x = widen(x)
+        assert dumps(x) == _dumps_walk(x)
+        assert equal(parse(dumps(x)), x)
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=ALPHABET, max_size=30))
+    def test_parse_matches_walker_on_alphabet_text(self, text):
+        assert outcome(parse, text) == outcome(_parse_walk, text)
+
+    @settings(max_examples=500)
+    @given(sexprs(), st.data())
+    def test_parse_matches_walker_on_mutated_text(self, x, data):
+        text = dumps(x)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(text)))
+            kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space"]))
+            ch = data.draw(st.sampled_from(ALPHABET + "x-"))
+            if kind == "insert":
+                text = text[:i] + ch + text[i:]
+            elif kind == "space":
+                text = text[:i] + " " + text[i:]
+            elif i < len(text):
+                text = text[:i] + (ch if kind == "replace" else "") + text[i + 1 :]
+        assert outcome(parse, text) == outcome(_parse_walk, text)
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_values_deeper_than_the_recursion_limit(self, left):
+        x = nested(2 * sys.getrecursionlimit() + 10, left)
+        text = dumps(x)
+        assert text == _dumps_walk(x)
+        assert equal(parse(text), x) and equal(_parse_walk(text), x)
+        with pytest.raises(ParseError) as info:
+            parse(text + "]")
+        assert info.value.offset == len(text)
+
+    def test_canonical_text_takes_the_c_path(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("fell back to the walker")
+
+        monkeypatch.setattr(sexpr, "_dumps_walk", refuse)
+        monkeypatch.setattr(sexpr, "_parse_walk", refuse)
+        x = nested(200, left=False), nested(200, left=True)
+        assert equal(parse(dumps(x)), x)
+        assert parse(" [ 1 ,\t[ 2 ,\r\n0 ] ] ") == (1, (2, 0))
