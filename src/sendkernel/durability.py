@@ -19,18 +19,23 @@ log entries, the outward sends, and the log length after commit: the
 fields of a TxRecord, which is what a payload decodes to.  The arithmetic
 between those fields is checked on every open; full semantic verification
 (re-running each transaction and comparing) is replay_verify.
+
+Open rebuilds the system from the deltas alone, so it checks each
+transaction but keeps it as its canonical text (sexpr.parse_split): the
+text is parsed only when replay reads the record's tx.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .sexpr import SExpr, chain, dumps, equal, is_atom, is_pair, parse, unchain
+from .sexpr import SExpr, chain, dumps, equal, is_atom, is_pair, parse, parse_split, unchain
 from .state import ABORT, ExternalSend, KernelState, LogEntry, TxRecord, rows_equal
 from .txn import ExecResult, Kernel, KernelConfig, SystemState
 
@@ -56,8 +61,10 @@ ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
 SYNC_POLICIES = ("fsync", "flush", "none")
 
+_HEADER = re.compile(rb"([0-9]+):([0-9a-f]{8}):")
 _DIGITS = frozenset(b"0123456789")
 _HEX = frozenset(b"0123456789abcdef")
+_VALUE_BYTES = b"0123456789[],"  # all that dumps writes for a value
 
 
 class StoreCorruption(Exception):
@@ -107,32 +114,16 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
 
     while pos < n:
         start = pos
-        while pos < n and data[pos] in _DIGITS:
-            pos += 1
-        if pos == start:
-            raise StoreCorruption("frame length expected", start)
-        if pos == n:
+        header = _HEADER.match(data, pos)
+        if header is None:
+            _check_header_prefix(data, start)
             return torn(start)
-        if data[pos] != 0x3A:  # ":"
-            raise StoreCorruption("':' expected after frame length", pos)
+        digits, crc_field = header.groups()
+        pos = header.end()
         # A length of more significant digits than `width` runs past the end
         # of the data, and int() refuses a field of over 4,300 digits.
-        digits = data[start:pos].lstrip(b"0")
+        digits = digits.lstrip(b"0")
         length = int(digits or b"0") if len(digits) <= width else n + 1
-        pos += 1
-
-        crc_end = pos + 8
-        crc_field = data[pos:crc_end]
-        if any(b not in _HEX for b in crc_field):
-            raise StoreCorruption("malformed checksum field", pos)
-        if len(crc_field) < 8:
-            return torn(start)
-        pos = crc_end
-        if pos == n:
-            return torn(start)
-        if data[pos] != 0x3A:
-            raise StoreCorruption("':' expected after checksum", pos)
-        pos += 1
 
         if n - pos < length:
             return torn(start)
@@ -151,11 +142,49 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
     return ScanResult(payloads, n, None)
 
 
+def _check_header_prefix(data: bytes, start: int) -> None:
+    """Raise StoreCorruption unless the bytes from start could begin a frame.
+
+    Called where a whole frame header does not match at start: the header
+    is then either cut off by the end of the data, which is a torn tail,
+    or damaged, which this reports with the offset of the first bad byte.
+    """
+    n = len(data)
+    pos = start
+    while pos < n and data[pos] in _DIGITS:
+        pos += 1
+    if pos == start:
+        raise StoreCorruption("frame length expected", start)
+    if pos == n:
+        return
+    if data[pos] != 0x3A:  # ":"
+        raise StoreCorruption("':' expected after frame length", pos)
+    pos += 1
+    crc_end = pos + 8
+    if any(b not in _HEX for b in data[pos:crc_end]):
+        raise StoreCorruption("malformed checksum field", pos)
+    if crc_end < n and data[crc_end] != 0x3A:
+        raise StoreCorruption("':' expected after checksum", crc_end)
+
+
 def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
     try:
         return parse(payload.decode("ascii"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise StoreCorruption(f"unreadable payload: {exc}", offset_hint) from None
+
+
+def _parse_record(payload: bytes, offset_hint: int) -> SExpr:
+    """A record payload's value, its transaction left as canonical text.
+
+    A payload parse_split refuses is parsed whole, transaction and all, so
+    that a damaged one is reported exactly as _parse_payload reports it.
+    """
+    try:
+        x = parse_split(payload.decode("ascii"))
+    except UnicodeDecodeError:
+        x = None
+    return _parse_payload(payload, offset_hint) if x is None else x
 
 
 # header and record payloads -------------------------------------------------
@@ -308,7 +337,7 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
     k_len = 0
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = decode_record(_parse_payload(payload, i + 1), i + 1)
+            record = decode_record(_parse_record(payload, i + 1), i + 1)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -401,10 +430,19 @@ class Store:
         return store, report
 
     def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> None:
-        """Write the frame of the next record; records grows when it is applied."""
+        """Write the frame of the next record; records grows when it is applied.
+
+        A record holding anything but naturals and pairs (True, -5, 1.5,
+        None) raises ValueError and writes nothing: its frame could not be
+        read back.
+        """
         if self._fh.closed:
             raise ValueError(f"store {self.path} is closed; reopen it to append")
         payload = dumps(encode_record(self._seq, tx, outcome, k_len_after)).encode("ascii")
+        # Deleting the value bytes leaves whatever else dumps wrote, such as
+        # "true", "-5" or "null"; translate does this 7x faster than a regex.
+        if payload.translate(None, _VALUE_BYTES):
+            raise ValueError(f"record {self._seq} holds a non-value; not written to {self.path}")
         try:
             self._fh.write(encode_frame(payload))
         except BaseException:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .sexpr import SExpr, dumps, equal, is_atom
+from .sexpr import SExpr, dumps, equal, is_atom, parse
 
 KERNEL_IDENTITY = 0
 EXTERNAL_IDENTITY = 1
@@ -103,16 +103,26 @@ class TxRecord:
     whenever `result` is ABORT: an aborted transaction appends nothing and
     releases nothing to the outside world.
 
+    The transaction may be given as its value or as its canonical text
+    (dumps of the value).  A record decoded from a store keeps the text,
+    and `tx` parses it on every read: only replay needs the value, and it
+    then holds one transaction's value at a time.
+
     Equality and repr never recurse on values, so records of any depth
     compare and print; records are unhashable, since hashing would recurse.
     """
 
     seq: int
-    tx: SExpr
+    _tx: Union[SExpr, str]
     result: TxResult
     entries: tuple[LogEntry, ...]
     externals: tuple[ExternalSend, ...]
     k_len_after: int
+
+    @property
+    def tx(self) -> SExpr:
+        tx = self._tx
+        return parse(tx) if tx.__class__ is str else tx
 
     @property
     def committed(self) -> bool:
@@ -126,10 +136,15 @@ class TxRecord:
             and self.k_len_after == other.k_len_after
             and self.committed == other.committed
             and (not self.committed or equal(self.result, other.result))
-            and equal(self.tx, other.tx)
+            and self._same_tx(other)
             and rows_equal(self.entries, other.entries)
             and rows_equal(self.externals, other.externals)
         )
+
+    def _same_tx(self, other: "TxRecord") -> bool:
+        if self._tx.__class__ is str and other._tx.__class__ is str:
+            return self._tx == other._tx  # canonical text is injective
+        return equal(self.tx, other.tx)
 
     def __repr__(self) -> str:
         result = dumps(self.result) if self.committed else "ABORT"

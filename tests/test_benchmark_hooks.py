@@ -7,6 +7,11 @@ tracer swaps that attribute for a timed shim and fails if it is missing.
 perfbench/workloads.py calls `run_concurrent(..., workers=, on_commit=)` and
 the tracer reads `ScheduleOutcome.retries`.  A rename in src/ would break a
 benchmark run only when it is made; this checks the names up front.
+
+The open metrics divide the time in `durability.scan_frames` and
+`durability.decode_record` spans by the records opened, so opening a store
+must call each by its module name: the first once, the second once per
+record.
 """
 
 import dataclasses
@@ -16,7 +21,8 @@ import os
 
 import pytest
 
-from sendkernel import interpreter, scheduler
+from sendkernel import durability, interpreter, scheduler
+from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -51,3 +57,23 @@ def test_scheduler_call_shape_resolves():
     assert "workers" in params and "on_commit" in params
     fields = {f.name for f in dataclasses.fields(scheduler.ScheduleOutcome)}
     assert "retries" in fields
+
+
+def test_open_calls_the_traced_decoders_by_name(tmp_path, monkeypatch):
+    path = str(tmp_path / "s.store")
+    with durability.DurableSystem.create(path, sync="none") as ds:
+        ds.submit(creator(ECHO_PROGRAM))
+        for i in range(4):
+            ds.submit(poke(14, (i, i)))
+    calls = {"scan_frames": 0, "decode_record": 0}
+    for name in calls:
+        original = getattr(durability, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(durability, name, counted)
+    durable, _ = durability.DurableSystem.open(path, sync="none")
+    durable.close()
+    assert calls == {"scan_frames": 1, "decode_record": 5}

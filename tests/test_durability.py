@@ -34,10 +34,11 @@ from sendkernel.durability import (
 from sendkernel.compose import replicate
 from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.scheduler import run_concurrent
-from sendkernel.sexpr import chain, dumps, equal, parse
+from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, unchain
 from sendkernel.txn import ExecResult
 from sendkernel.state import ExternalSend, LogEntry
 
+from test_acceptance import _fixture_workloads
 from test_interpreter import asm
 
 
@@ -469,6 +470,120 @@ class TestOpenValidation:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+def write_store(path, *payloads):
+    """A store of the default header frame and the given record payloads."""
+    Store.create(str(path)).close()
+    with open(path, "ab") as fh:
+        for payload in payloads:
+            fh.write(encode_frame(payload.encode()))
+
+
+class TestLazyTransaction:
+    """A decoded record keeps its transaction as canonical text and parses
+    it on every read of tx; open checks it as an eager parse would."""
+
+    def test_fixture_stores_decode_every_tx(self, tmp_path):
+        for n, txs in enumerate(_fixture_workloads()):
+            p = tmp_path / f"fixture{n}.log"
+            live = build_store(p, txs)
+            with open(p, "rb") as fh:
+                payloads = scan_frames(fh.read()).payloads[1:]
+            records = read_store(str(p), strict=True).records
+            assert len(records) == len(payloads) == len(live) == len(txs)
+            for record, payload, twin in zip(records, payloads, live):
+                eager = unchain(parse(payload.decode()))[1]
+                assert equal(record.tx, eager)
+                assert record == twin and twin == record
+
+    def test_reopened_records_equal_their_live_twins(self, tmp_path):
+        p = tmp_path / "s.log"
+        live = build_store(p, SAMPLE_TXS)
+        first, second = read_store(str(p)).records, read_store(str(p)).records
+        assert list(first) == live and live == list(first) and list(first) == list(second)
+        assert all(r.tx is not r.tx for r in first if is_pair(r.tx))  # no cache
+
+    @pytest.mark.parametrize(
+        "tx_text, want",
+        [
+            ("[1,2,3]", "unreadable payload: expected ']' (offset 8)"),
+            ("[1]", "unreadable payload: expected ',' (offset 6)"),
+            ("[]", "unreadable payload: unexpected character ']' (offset 5)"),
+            ("01", "unreadable payload: leading zeros are not canonical (offset 4)"),
+            ("[01,2]", "unreadable payload: leading zeros are not canonical (offset 5)"),
+            ("[[1,2],[3,[4]]]", "unreadable payload: expected ',' (offset 16)"),
+            ("[1,[2,]]", "unreadable payload: unexpected character ']' (offset 10)"),
+            ("-1", "unreadable payload: unexpected character '-' (offset 4)"),
+            (" [1,2]", (1, 2)),
+            ("[1, 2]", (1, 2)),
+            ("[1,2]\t", (1, 2)),
+            ("7", 7),
+        ],
+    )
+    def test_transaction_text_is_checked_as_parse_checks_it(self, tmp_path, tx_text, want):
+        p = tmp_path / "s.log"
+        write_store(p, f"[0,[{tx_text},[[1,5],[0,[0,[0,0]]]]]]")
+        if isinstance(want, str):
+            with pytest.raises(StoreCorruption) as info:
+                read_store(str(p))
+            assert (info.value.reason, info.value.offset) == (want, 1)
+        else:
+            assert read_store(str(p)).records[0].tx == want
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ("[0,[[1,2],[[1,5],[0,[0,[0]]]]]]", "unreadable payload: expected ',' (offset 25)"),
+            (
+                "[0,[[1,2],[[1,5],[0,[0,[0,0,0]]]]]]",
+                "unreadable payload: expected ']' (offset 27)",
+            ),
+            (
+                "[0,[[1,2],[[1,5],[0,[0,[0,0]]]]]]]",
+                "unreadable payload: trailing input after value (offset 33)",
+            ),
+            ("[0,[[1,2],[[1,5],[0,[0,[0,0]]]]]", "unreadable payload: expected ']' (offset 32)"),
+            (
+                "[0,[[1,2],[[1,5],[0,[0,[0,00]]]]]]",
+                "unreadable payload: leading zeros are not canonical (offset 26)",
+            ),
+            ("[0,[[1,2],7]]", "malformed record"),
+            ("[[0,0],[[1,2],[[1,5],[0,[0,[0,0]]]]]]", "malformed record"),
+            ("[0,[[1,2],[[2,5],[0,[0,[0,0]]]]]]", "malformed result tag"),
+        ],
+    )
+    def test_the_other_fields_keep_their_reasons(self, tmp_path, payload, reason):
+        p = tmp_path / "s.log"
+        write_store(p, payload)
+        with pytest.raises(StoreCorruption) as info:
+            read_store(str(p))
+        assert (info.value.reason, info.value.offset) == (reason, 1)
+
+
+class TestNonValues:
+    """Only s-expressions reach the file: a transaction carrying anything
+    else is refused before a byte is written."""
+
+    @pytest.mark.parametrize("bad", [True, -5, 1.5, None])
+    def test_refused_before_writing(self, tmp_path, bad):
+        p = tmp_path / "s.log"
+        ds = DurableSystem.create(str(p), sync="none")
+        ds.submit(creator(ECHO_PROGRAM))
+        size, records = ds.system.kernel.size, list(ds.system.records)
+        ds.store.settle()
+        before = p.read_bytes()
+        with pytest.raises(ValueError):
+            ds.submit(poke(14, bad))
+        assert ds.system.kernel.size == size and ds.system.records == records
+        ds.store.settle()
+        assert p.read_bytes() == before
+        after = ds.submit(poke(14, 5))
+        assert after.committed and after.seq == 1
+        ds.close()
+        back, report = DurableSystem.open(str(p))
+        assert report.clean and back.system.records == records + [after]
+        back.close()
 
 
 class TestUnboundedValues:

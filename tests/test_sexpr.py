@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sendkernel import sexpr
-from sendkernel.sexpr import ParseError, atom, dumps, equal, is_atom, is_pair, pair, parse
+from sendkernel.sexpr import (
+    ParseError,
+    atom,
+    dumps,
+    equal,
+    is_atom,
+    is_pair,
+    pair,
+    parse,
+    parse_split,
+)
 from sendkernel.sexpr import _dumps_walk, _parse_walk
 
 
@@ -177,6 +187,22 @@ def outcome(fn, text):
         return ("error", e.offset)
 
 
+def mutated(text, data):
+    """text after one to three random edits: insertions, deletions,
+    replacements and spaces."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space"]))
+        ch = data.draw(st.sampled_from(ALPHABET + "x-"))
+        if kind == "insert":
+            text = text[:i] + ch + text[i:]
+        elif kind == "space":
+            text = text[:i] + " " + text[i:]
+        elif i < len(text):
+            text = text[:i] + (ch if kind == "replace" else "") + text[i + 1 :]
+    return text
+
+
 def nested(depth, left):
     x = 0
     for i in range(depth):
@@ -214,17 +240,7 @@ class TestDifferential:
     @settings(max_examples=500)
     @given(sexprs(), st.data())
     def test_parse_matches_walker_on_mutated_text(self, x, data):
-        text = dumps(x)
-        for _ in range(data.draw(st.integers(1, 3))):
-            i = data.draw(st.integers(0, len(text)))
-            kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space"]))
-            ch = data.draw(st.sampled_from(ALPHABET + "x-"))
-            if kind == "insert":
-                text = text[:i] + ch + text[i:]
-            elif kind == "space":
-                text = text[:i] + " " + text[i:]
-            elif i < len(text):
-                text = text[:i] + (ch if kind == "replace" else "") + text[i + 1 :]
+        text = mutated(dumps(x), data)
         assert outcome(parse, text) == outcome(_parse_walk, text)
 
     @pytest.mark.parametrize("left", [True, False])
@@ -246,3 +262,52 @@ class TestDifferential:
         x = nested(200, left=False), nested(200, left=True)
         assert equal(parse(dumps(x)), x)
         assert parse(" [ 1 ,\t[ 2 ,\r\n0 ] ] ") == (1, (2, 0))
+
+
+class TestParseSplit:
+    """parse_split leaves the b of [a,[b,c]] as text, checked as parse checks it."""
+
+    @given(sexprs(), sexprs(), sexprs())
+    def test_keeps_the_text_of_the_second_item(self, a, b, c):
+        assert parse_split(dumps((a, (b, c)))) == (a, (dumps(b), c))
+
+    @settings(max_examples=1000)
+    @given(sexprs(), sexprs(), sexprs(), st.data())
+    def test_agrees_with_parse_on_mutated_text(self, a, b, c, data):
+        text = mutated(dumps((a, (b, c))), data)
+        split = parse_split(text)
+        if split is not None:
+            head, (b_text, tail) = split
+            assert parse(text) == (head, (parse(b_text), tail))
+            assert dumps(parse(b_text)) == b_text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1,[[2,3],4]] ",  # whitespace: parse accepts it, but b_text would not be canonical
+            "[1,[[2, 3],4]]",
+            "[1,[2,3]",
+            "[1,[2,3]]]",
+            "[1,[2,3],4]",
+            "[1,2]",
+            "7",
+            "",
+            "0,[1,2]]",
+            "[1,[[2,3,4],5]]",  # a list of three in b
+            "[1,[[2],5]]",
+            "[1,[[],5]]",
+            "[1,[01,5]]",  # a leading zero ends b early
+            "[1,[2,[3]]]",  # a list of one in c
+            "[[1],[2,3]]",
+            "[1,[2,true]]",
+            "[1,[-2,3]]",
+        ],
+    )
+    def test_refuses_what_parse_must_handle(self, text):
+        assert parse_split(text) is None
+
+    def test_refuses_what_the_c_scanner_refuses(self):
+        deep = nested(2 * sys.getrecursionlimit() + 10, left=False)
+        assert parse_split(dumps((1, (deep, 0)))) is None
+        assert parse_split(dumps((1, (0, deep)))) is None
+        assert parse_split(dumps((1, (LONG, 0)))) is None

@@ -58,6 +58,15 @@ class TestAbortMarker:
         assert TxRecord(0, (0, 0), 5, (), (), 0).committed
         assert not TxRecord(0, (0, 0), ABORT, (), (), 0).committed
 
+    def test_txrecord_parses_a_text_transaction_on_every_read(self):
+        held = TxRecord(0, "[1,[2,0]]", 5, (), (), 0)
+        assert held.tx == (1, (2, 0)) and held.tx is not held.tx
+        assert held == TxRecord(0, (1, (2, 0)), 5, (), (), 0) == held
+        assert held == TxRecord(0, "[1,[2,0]]", 5, (), (), 0)
+        for other in ("[1,[2,1]]", (1, (2, 1))):
+            assert held != TxRecord(0, other, 5, (), (), 0)
+            assert TxRecord(0, (1, (2, 0)), 5, (), (), 0) != TxRecord(0, other, 5, (), (), 0)
+
 
 class TestProjections:
     def test_frozen_example_log_and_program(self):
