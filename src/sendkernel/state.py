@@ -84,7 +84,15 @@ class Effects:
 
 
 def rows_equal(a, b) -> bool:
-    """Rows (log entries or outward sends) equal field by field."""
+    """Rows (log entries or outward sends) equal field by field.
+
+    C's tuple comparison first, as in sexpr.equal; a value nested past the
+    recursion limit falls back to equal on each field.
+    """
+    try:
+        return tuple(a) == tuple(b)
+    except RecursionError:
+        pass
     if len(a) != len(b):
         return False
     for row_a, row_b in zip(a, b):
@@ -108,8 +116,9 @@ class TxRecord:
     and `tx` parses it on every read: only replay needs the value, and it
     then holds one transaction's value at a time.
 
-    Equality and repr never recurse on values, so records of any depth
-    compare and print; records are unhashable, since hashing would recurse.
+    Equality and repr fall back to explicit-stack walks on deep values,
+    so records of any depth compare and print; records are unhashable,
+    since hashing would recurse.
     """
 
     seq: int
@@ -136,15 +145,10 @@ class TxRecord:
             and self.k_len_after == other.k_len_after
             and self.committed == other.committed
             and (not self.committed or equal(self.result, other.result))
-            and self._same_tx(other)
+            and equal(self.tx, other.tx)
             and rows_equal(self.entries, other.entries)
             and rows_equal(self.externals, other.externals)
         )
-
-    def _same_tx(self, other: "TxRecord") -> bool:
-        if self._tx.__class__ is str and other._tx.__class__ is str:
-            return self._tx == other._tx  # canonical text is injective
-        return equal(self.tx, other.tx)
 
     def __repr__(self) -> str:
         result = dumps(self.result) if self.committed else "ABORT"

@@ -13,6 +13,7 @@ from sendkernel.sexpr import (
     atom,
     dumps,
     equal,
+    in_canonical_alphabet,
     is_atom,
     is_pair,
     pair,
@@ -81,6 +82,13 @@ class TestEqual:
         assert equal(a, b)
         assert not equal(a, (0, a))
 
+    def test_deep_difference_at_the_bottom(self):
+        a, b = 0, 1
+        for i in range(50_000):
+            a, b = (i, a), (i, b)
+        assert not equal(a, b) and not equal((a, 0), (b, 0))
+        assert equal((a, 0), (a, 0))
+
 
 class TestCanonicalText:
     def test_frozen_examples(self):
@@ -111,7 +119,7 @@ class TestCanonicalText:
 
     def test_deep_chain_round_trip(self):
         # == on tuples recurses inside CPython and raises RecursionError at
-        # this depth, which is exactly why equal() walks iteratively.
+        # this depth, which is exactly why equal() falls back to a walk.
         x = 0
         for i in range(100_000):
             x = (i % 1000, x)
@@ -311,3 +319,13 @@ class TestParseSplit:
         assert parse_split(dumps((1, (deep, 0)))) is None
         assert parse_split(dumps((1, (0, deep)))) is None
         assert parse_split(dumps((1, (LONG, 0)))) is None
+
+
+class TestCanonicalAlphabet:
+    @given(sexprs())
+    def test_accepts_all_that_dumps_writes(self, x):
+        assert in_canonical_alphabet(dumps(x))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "true", "-5", "1.5", "null", "\u0661", "[1,\n2]"])
+    def test_refuses_anything_else(self, text):
+        assert not in_canonical_alphabet(text)

@@ -17,6 +17,7 @@ from sendkernel.state import (
     TxRecord,
     UndefinedObjectError,
     encode_log,
+    rows_equal,
 )
 
 
@@ -66,6 +67,22 @@ class TestAbortMarker:
         for other in ("[1,[2,1]]", (1, (2, 1))):
             assert held != TxRecord(0, other, 5, (), (), 0)
             assert TxRecord(0, (1, (2, 0)), 5, (), (), 0) != TxRecord(0, other, 5, (), (), 0)
+
+
+class TestRowsEqual:
+    def test_field_by_field(self):
+        rows = [LogEntry(14, 2, (1, 0)), LogEntry(0, 14, 15)]
+        assert rows_equal(rows, tuple(rows)) and rows_equal((), [])
+        assert not rows_equal(rows, rows[:1])
+        assert not rows_equal(rows, [LogEntry(14, 2, (1, 1)), LogEntry(0, 14, 15)])
+
+    def test_values_nested_past_the_recursion_limit(self):
+        a, b = 0, 1
+        for i in range(50_000):
+            a, b = (i, a), (i, b)
+        assert rows_equal([LogEntry(14, 2, a)], [LogEntry(14, 2, (49_999, a[1]))])
+        assert not rows_equal([LogEntry(14, 2, a)], [LogEntry(14, 2, b)])
+        assert not rows_equal([LogEntry(14, 2, a)], [LogEntry(14, 3, a)])
 
 
 class TestProjections:
