@@ -5,13 +5,13 @@ import sys
 
 import pytest
 
-from sendkernel import interpreter
+from sendkernel import interpreter, txn
 from sendkernel.assembler import SEED_MESSAGE, ProgramBuilder, Slot
 from sendkernel.interpreter import Budget, run
 from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.sexpr import equal
 from sendkernel.state import ABORT, Effects, KernelState, LogEntry, StateView, encode_log
-from sendkernel.txn import Kernel, SystemState
+from sendkernel.txn import Kernel, KernelConfig, SystemState
 
 
 def asm(*ops, end=0):
@@ -482,3 +482,74 @@ class TestLazyLogSlot:
         # One log read encodes once, over the history it was dispatched with.
         assert kernel.submit(system, poke(15, 0)).result == ((1, SHOW_LOG), 0)
         assert calls == [1]
+
+
+LOOPER = asm(("recall", 0), ("recall", 0), ("send",))  # sends itself itself, forever
+
+# One transaction per way to abort, after a creation and a committed poke.
+# 14 echoes; 15 creates an object, then runs the abort instruction.
+ABORT_WORKLOAD = [
+    creator(ECHO, asm(("push", ECHO), ("push", 0), ("send",), end=4)),
+    poke(14, 3),
+    (LOOPER, 0),  # budget exhaustion
+    poke(15, 0),  # OP_FAIL inside a persistent frame
+    (asm(("push", 41), ("push", 8), ("send",)), 0),  # HEAD of an atom
+    poke(99, 0),  # uncreated target
+    (asm(("push", 5), ("quote", 14), ("send",), ("recall", 99)), 0),  # bad recall index
+    (asm(("push", 5), ("quote", 14), ("send",), end=(5, 7)), 0),  # malformed quote
+    5,  # not a pair
+]
+ABORT_BUDGET = 5000
+
+
+class TestPinnedSteps:
+    """Every ExecResult.steps of the fixture traffic and of each abort kind.
+
+    Step counts are part of the semantics, so they are literals here.  The
+    budget Kernel.execute hands to run is read as run returns: whatever
+    the run loop keeps its count in, Budget.spent must equal the steps on
+    every exit.
+    """
+
+    FIXTURE_STEPS = [
+        [7, 19, 4, 22, 7, 19],  # delegation
+        [10, 230, 113, 230, 113, 11158],  # auction
+        [10, 92, 136, 151, 65, 56],  # escrow
+        [4, 58, 61, 61],  # clone
+        [4, 201, 44, 356],  # bootloader
+        [10, 59, 175, 291, 407, 357, 747, 1018, 1289, 433, 1045, 1377],  # folds
+    ]
+    ABORT_STEPS = [7, 11, 5000, 7, 3, 3, 11, 11, 0]
+
+    @staticmethod
+    def steps(monkeypatch, kernel, txs):
+        spent = []
+
+        def run_then_read_budget(ctx, instr, view, effects, budget, *rest):
+            result = run(ctx, instr, view, effects, budget, *rest)
+            spent.append(budget.spent)
+            return result
+
+        monkeypatch.setattr(txn, "run", run_then_read_budget)
+        system = SystemState.fresh()
+        steps = []
+        for tx in txs:
+            del spent[:]
+            outcome = kernel.execute(system.kernel, system.k_len, tx)
+            kernel.apply(system, tx, outcome)
+            assert spent == ([outcome.steps] if isinstance(tx, tuple) else [])
+            steps.append(outcome.steps)
+        return steps, [r.committed for r in system.records]
+
+    def test_fixture_workloads(self, monkeypatch):
+        from test_acceptance import _fixture_workloads
+
+        got = [self.steps(monkeypatch, Kernel(), txs)[0] for txs in _fixture_workloads()]
+        assert got == self.FIXTURE_STEPS
+
+    def test_each_abort_kind(self, monkeypatch):
+        kernel = Kernel(KernelConfig(step_budget=ABORT_BUDGET))
+        steps, committed = self.steps(monkeypatch, kernel, ABORT_WORKLOAD)
+        assert committed == [True, True] + [False] * 7
+        assert steps[2] == ABORT_BUDGET and steps[-1] == 0
+        assert steps == self.ABORT_STEPS
