@@ -18,7 +18,7 @@ import hashlib
 from enum import Enum
 from typing import Callable, Optional
 
-from .sexpr import SExpr, equal, is_atom, is_pair
+from .sexpr import SExpr, equal
 from .state import StateView
 
 # Reserved atom table.
@@ -57,6 +57,13 @@ __all__ = [
     "B_INCREMENT",
     "FIRST_IDENTITY",
     "DispatchCase",
+    "CASE_BUILTIN",
+    "CASE_KERNEL",
+    "CASE_PERSISTENT",
+    "CASE_PAIR_FORM",
+    "CASE_EXTERNAL",
+    "CASE_EPHEMERAL",
+    "CASE_INVALID",
     "classify",
     "builtin",
     "alloc_sequential",
@@ -75,6 +82,16 @@ class DispatchCase(Enum):
     INVALID = "invalid"
 
 
+# The cases as module globals: on CPython 3.11 reading DispatchCase.X costs
+# ten times as much, and every send classifies once.
+CASE_BUILTIN = DispatchCase.BUILTIN
+CASE_KERNEL = DispatchCase.KERNEL
+CASE_PERSISTENT = DispatchCase.PERSISTENT
+CASE_PAIR_FORM = DispatchCase.PAIR_FORM
+CASE_EXTERNAL = DispatchCase.EXTERNAL
+CASE_EPHEMERAL = DispatchCase.EPHEMERAL
+CASE_INVALID = DispatchCase.INVALID
+
 def classify(target: SExpr, view: StateView) -> DispatchCase:
     """Decide which send case handles `target`, first match wins.
 
@@ -82,20 +99,20 @@ def classify(target: SExpr, view: StateView) -> DispatchCase:
     targets are classified by head shape alone.  Atom 1 and uncreated
     atoms are invalid: there is nothing behind them to answer.
     """
-    if is_atom(target):
+    if isinstance(target, int):
         if BUILTIN_LOW <= target <= BUILTIN_HIGH:
-            return DispatchCase.BUILTIN
+            return CASE_BUILTIN
         if target == KERNEL:
-            return DispatchCase.KERNEL
+            return CASE_KERNEL
         if view.exists(target):
-            return DispatchCase.PERSISTENT
-        return DispatchCase.INVALID
+            return CASE_PERSISTENT
+        return CASE_INVALID
     head = target[0]
     if head == PAIR_TAG:
-        return DispatchCase.PAIR_FORM
+        return CASE_PAIR_FORM
     if head == EXTERNAL_TAG:
-        return DispatchCase.EXTERNAL
-    return DispatchCase.EPHEMERAL
+        return CASE_EXTERNAL
+    return CASE_EPHEMERAL
 
 
 def builtin(n: int, m: SExpr) -> Optional[SExpr]:
@@ -107,30 +124,30 @@ def builtin(n: int, m: SExpr) -> Optional[SExpr]:
     otherwise.
     """
     if n == B_HEAD:
-        return m[0] if is_pair(m) else None
+        return m[0] if isinstance(m, tuple) else None
     if n == B_TAIL:
-        return m[1] if is_pair(m) else None
+        return m[1] if isinstance(m, tuple) else None
     if n == B_PAIR:
         return (PAIR_TAG, m)
     if n == B_EQUAL:
-        if not is_pair(m):
+        if not isinstance(m, tuple):
             return None
         return 0 if equal(m[0], m[1]) else m
     if n == B_BRANCH:
         # Shape [t,[x,[y,_]]]: pick x when t is an atom, else y.  The
         # fourth slot is unconstrained; anything shallower is undefined.
-        if not is_pair(m):
+        if not isinstance(m, tuple):
             return None
         t, rest = m
-        if not is_pair(rest):
+        if not isinstance(rest, tuple):
             return None
         x, rest = rest
-        if not is_pair(rest):
+        if not isinstance(rest, tuple):
             return None
         y = rest[0]
-        return x if is_atom(t) else y
+        return x if isinstance(t, int) else y
     if n == B_INCREMENT:
-        return m + 1 if is_atom(m) else None
+        return m + 1 if isinstance(m, int) else None
     return None
 
 

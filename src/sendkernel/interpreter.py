@@ -25,7 +25,12 @@ the whole transaction: there is no catch.
 from __future__ import annotations
 
 from .dispatch import (
-    DispatchCase,
+    CASE_BUILTIN,
+    CASE_EPHEMERAL,
+    CASE_EXTERNAL,
+    CASE_KERNEL,
+    CASE_PAIR_FORM,
+    CASE_PERSISTENT,
     EXTERNAL,
     KERNEL,
     OP_FAIL,
@@ -36,7 +41,7 @@ from .dispatch import (
     builtin,
     classify,
 )
-from .sexpr import SExpr, is_atom, is_pair
+from .sexpr import SExpr
 from .state import ABORT, Effects, ExternalSend, LogEntry, StateView, TxResult, encode_log
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -89,76 +94,6 @@ class _LazyLog:
         return self.value
 
 
-# _dispatch outcome tags
-_VALUE = 0
-_FRAME = 1
-_ABORT = 2
-
-
-def _dispatch(
-    target: SExpr,
-    message: SExpr,
-    sender: int,
-    log_value: SExpr,
-    caller: SExpr,
-    view: StateView,
-    effects: Effects,
-    alloc_fn,
-    builtin_fn,
-    tracer,
-):
-    """One send, classified and (for the pure cases) fully applied.
-
-    Returns (_VALUE, v), (_ABORT, None), or (_FRAME, ctx, pending_entry)
-    when the receiver's code must run before the send has a value.  The
-    pending entry, if any, is appended to the effects only after that
-    frame completes: an object never sees its own in-flight message in
-    its log, and inner entries land before outer ones.
-    """
-    if tracer is not None:
-        tracer.on_classify(target)
-    case = classify(target, view)
-    if tracer is not None:
-        tracer.on_case(case, target)
-
-    if case is DispatchCase.BUILTIN:
-        value = builtin_fn(target, message)
-        if value is None:
-            return (_ABORT, None, None)
-        return (_VALUE, value, None)
-
-    if case is DispatchCase.KERNEL:
-        ident = alloc_fn(view)
-        creation = LogEntry(KERNEL, sender, ident)
-        birth = LogEntry(ident, sender, message)
-        effects.entries.append(creation)
-        effects.entries.append(birth)
-        if tracer is not None:
-            tracer.on_append(creation, sender)
-            tracer.on_append(birth, sender)
-        return (_VALUE, ident, None)
-
-    if case is DispatchCase.PERSISTENT:
-        program = view.program_of(target)
-        if view.tracer is not None:
-            view.tracer.on_projection("log", target)
-        ctx = [program, message, target, _LazyLog(view, target), sender]
-        return (_FRAME, ctx, LogEntry(target, sender, message))
-
-    if case is DispatchCase.PAIR_FORM:
-        return (_VALUE, (target[1], message), None)
-
-    if case is DispatchCase.EXTERNAL:
-        effects.externals.append(ExternalSend(sender, target, message))
-        return (_VALUE, EXTERNAL, None)
-
-    if case is DispatchCase.EPHEMERAL:
-        ctx = [target, message, sender, log_value, caller]
-        return (_FRAME, ctx, None)
-
-    return (_ABORT, None, None)
-
-
 def run(
     ctx: list,
     instr: SExpr,
@@ -169,83 +104,114 @@ def run(
     builtin_fn=builtin,
     tracer=None,
 ) -> TxResult:
-    """Drive a context to completion; ABORT poisons every enclosing frame."""
-    frames: list = [[ctx, instr, None]]
+    """Drive a context to completion; ABORT poisons every enclosing frame.
+
+    The running frame is (ctx, ins, pending) in locals; frames holds the
+    suspended ones.  A frame's pending entry, if any, is appended to the
+    effects only once the frame returns: an object never sees its own
+    in-flight message in its log, and inner entries land before outer
+    ones.  The step count lives in a local and is written back to the
+    budget on every exit.
+    """
+    frames: list = []
+    ins = instr
+    pending = None
     entries = effects.entries
-
-    while True:
-        if budget.remaining <= 0:
-            return ABORT
-        budget.remaining -= 1
-
-        frame = frames[-1]
-        ins = frame[1]
-
-        if is_atom(ins):
-            if ins == OP_FAIL:
+    remaining = budget.remaining
+    try:
+        while True:
+            if remaining <= 0:
                 return ABORT
-            value = frame[0][-1]
-            frames.pop()
-            pending = frame[2]
-            if pending is not None:
-                entries.append(pending)
+            remaining -= 1
+
+            if isinstance(ins, int):
+                if ins == OP_FAIL:
+                    return ABORT
+                value = ctx[-1]
+                if pending is not None:
+                    entries.append(pending)
+                    if tracer is not None:
+                        tracer.on_append(pending, pending.caller)
+                if not frames:
+                    return value
+                ctx, ins, pending = frames.pop()
+                ctx.append(value)
+                continue
+
+            head, rest = ins
+
+            if head == OP_SEND:
+                if len(ctx) == 5 and type(ctx[3]) is _LazyLog:
+                    ctx[3] = ctx[3].force()  # ctx[-2] is L[3]: the log is the message
+                target = ctx[-1]
+                message = ctx[-2]
                 if tracer is not None:
-                    tracer.on_append(pending, pending.caller)
-            if not frames:
-                return value
-            frames[-1][0].append(value)
-            continue
+                    tracer.on_classify(target)
+                case = classify(target, view)
+                if tracer is not None:
+                    tracer.on_case(case, target)
 
-        head, rest = ins
+                if case is CASE_BUILTIN:
+                    value = builtin_fn(target, message)
+                    if value is None:
+                        return ABORT
+                elif case is CASE_PERSISTENT:
+                    program = view.program_of(target)
+                    if view.tracer is not None:
+                        view.tracer.on_projection("log", target)
+                    frames.append((ctx, rest, pending))
+                    pending = LogEntry(target, ctx[2], message)
+                    ctx = [program, message, target, _LazyLog(view, target), ctx[2]]
+                    ins = program
+                    continue
+                elif case is CASE_PAIR_FORM:
+                    value = (target[1], message)
+                elif case is CASE_EPHEMERAL:
+                    frames.append((ctx, rest, pending))
+                    pending = None
+                    ctx = [target, message, ctx[2], ctx[3], ctx[4]]
+                    ins = target
+                    continue
+                elif case is CASE_KERNEL:
+                    sender = ctx[2]
+                    value = alloc_fn(view)
+                    creation = LogEntry(KERNEL, sender, value)
+                    birth = LogEntry(value, sender, message)
+                    entries.append(creation)
+                    entries.append(birth)
+                    if tracer is not None:
+                        tracer.on_append(creation, sender)
+                        tracer.on_append(birth, sender)
+                elif case is CASE_EXTERNAL:
+                    effects.externals.append(ExternalSend(ctx[2], target, message))
+                    value = EXTERNAL
+                else:
+                    return ABORT
+                ctx.append(value)
+                ins = rest
+                continue
 
-        if head == OP_SEND:
-            fctx = frame[0]
-            if len(fctx) == 5 and type(fctx[3]) is _LazyLog:
-                fctx[3] = fctx[3].force()  # fctx[-2] is L[3]: the log is the message
-            target = fctx[-1]
-            message = fctx[-2]
-            kind, payload, pending = _dispatch(
-                target,
-                message,
-                fctx[2],
-                fctx[3],
-                fctx[4],
-                view,
-                effects,
-                alloc_fn,
-                builtin_fn,
-                tracer,
-            )
-            if kind == _ABORT:
-                return ABORT
-            frame[1] = rest
-            if kind == _VALUE:
-                fctx.append(payload)
-            else:
-                frames.append([payload, payload[0], pending])
-            continue
+            if head == OP_RECALL:
+                if not isinstance(rest, tuple):
+                    return ABORT
+                j, ins = rest
+                if not isinstance(j, int) or j >= len(ctx):
+                    return ABORT
+                value = ctx[j]
+                if type(value) is _LazyLog:
+                    value = ctx[j] = value.force()
+                ctx.append(value)
+                continue
 
-        if head == OP_RECALL:
-            if not is_pair(rest):
-                return ABORT
-            j, k = rest
-            fctx = frame[0]
-            if not is_atom(j) or j >= len(fctx):
-                return ABORT
-            value = fctx[j]
-            if type(value) is _LazyLog:
-                value = fctx[j] = value.force()
-            fctx.append(value)
-            frame[1] = k
-            continue
+            if head == OP_QUOTE:
+                if not isinstance(rest, tuple):
+                    return ABORT
+                value, ins = rest
+                ctx.append(value)
+                continue
 
-        if head == OP_QUOTE:
-            if not is_pair(rest):
-                return ABORT
-            frame[0].append(rest[0])
-            frame[1] = rest[1]
-            continue
-
-        # Any other pair: push the head verbatim, continue with the tail.
-        frame[0].append(head)
-        frame[1] = rest
+            # Any other pair: push the head verbatim, continue with the tail.
+            ctx.append(head)
+            ins = rest
+    finally:
+        budget.remaining = remaining

@@ -279,7 +279,7 @@ class StateView:
         """True iff ident is a created identity (has a creation record)."""
         if self.tracer is not None:
             self.tracer.on_projection("exists", ident)
-        if not is_atom(ident) or ident == KERNEL_IDENTITY:
+        if not isinstance(ident, int) or ident == KERNEL_IDENTITY:
             return False
         pos = self.kstate.created_at(ident)
         if pos is not None and pos < self.k_len:
