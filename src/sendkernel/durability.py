@@ -43,6 +43,7 @@ from .sexpr import (
     in_canonical_alphabet,
     is_atom,
     is_pair,
+    nodes_are_pairs,
     parse,
     parse_split,
     unchain,
@@ -443,13 +444,15 @@ class Store:
         """Write the frame of the next record; records grows when it is applied.
 
         A record holding anything but naturals and pairs (True, -5, 1.5,
-        None) raises ValueError and writes nothing: its frame could not be
-        read back.
+        None, a tuple of other than two items) raises ValueError and writes
+        nothing: its frame could not be read back.  Only the transaction
+        needs the arity check, since the kernel builds every other field
+        from it and from pairs of its own.
         """
         if self._fh.closed:
             raise ValueError(f"store {self.path} is closed; reopen it to append")
         text = dumps(encode_record(self._seq, tx, outcome, k_len_after))
-        if not in_canonical_alphabet(text):
+        if not in_canonical_alphabet(text) or not nodes_are_pairs(tx):
             raise ValueError(f"record {self._seq} holds a non-value; not written to {self.path}")
         payload = text.encode("ascii")
         try:

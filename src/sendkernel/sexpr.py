@@ -52,6 +52,7 @@ __all__ = [
     "parse",
     "parse_split",
     "in_canonical_alphabet",
+    "nodes_are_pairs",
     "chain",
     "unchain",
 ]
@@ -164,6 +165,25 @@ def in_canonical_alphabet(text: str) -> bool:
     for a remainder is 3x faster than a regex.
     """
     return text.isascii() and not text.encode("ascii").translate(None, _CANONICAL_BYTES)
+
+
+def nodes_are_pairs(x) -> bool:
+    """Whether every part of x that is not an int unpacks to two items.
+
+    Behind in_canonical_alphabet, this leaves naturals and pairs only:
+    dumps writes any tuple or list as a JSON array, so (1, 2, 3) and ()
+    pass the alphabet as "[1,2,3]" and "[]", which parse refuses.
+    """
+    nodes = [x] if x.__class__ is not int else []
+    try:
+        for head, tail in nodes:  # breadth-first; unpacking checks the length
+            if head.__class__ is not int:
+                nodes.append(head)
+            if tail.__class__ is not int:
+                nodes.append(tail)
+    except (TypeError, ValueError):  # not iterable, or not two items
+        return False
+    return True
 
 
 def parse(text: str) -> SExpr:

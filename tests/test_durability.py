@@ -565,7 +565,7 @@ class TestNonValues:
     """Only s-expressions reach the file: a transaction carrying anything
     else is refused before a byte is written."""
 
-    @pytest.mark.parametrize("bad", [True, -5, 1.5, None])
+    @pytest.mark.parametrize("bad", [True, -5, 1.5, None, (1, 2, 3), (5,), ()])
     def test_refused_before_writing(self, tmp_path, bad):
         p = tmp_path / "s.log"
         ds = DurableSystem.create(str(p), sync="none")

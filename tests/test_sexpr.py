@@ -16,6 +16,7 @@ from sendkernel.sexpr import (
     in_canonical_alphabet,
     is_atom,
     is_pair,
+    nodes_are_pairs,
     pair,
     parse,
     parse_split,
@@ -329,3 +330,21 @@ class TestCanonicalAlphabet:
     @pytest.mark.parametrize("text", ["[1, 2]", "true", "-5", "1.5", "null", "\u0661", "[1,\n2]"])
     def test_refuses_anything_else(self, text):
         assert not in_canonical_alphabet(text)
+
+
+class TestNodesArePairs:
+    @given(sexprs())
+    def test_accepts_every_value(self, x):
+        assert nodes_are_pairs(x)
+
+    def test_accepts_a_value_past_the_recursion_limit(self):
+        x = 0
+        for i in range(4 * sys.getrecursionlimit()):
+            x = (x, i)
+        assert nodes_are_pairs(x)
+
+    @pytest.mark.parametrize(
+        "x", [(1, 2, 3), (5,), (), ((1, (5,)), 0), (0, [1, 2, 3]), (1, True), (0, "ab")]
+    )
+    def test_refuses_other_arities_and_types(self, x):
+        assert not nodes_are_pairs(x)
