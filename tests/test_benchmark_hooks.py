@@ -8,6 +8,11 @@ perfbench/workloads.py calls `run_concurrent(..., workers=, on_commit=)` and
 the tracer reads `ScheduleOutcome.retries`.  A rename in src/ would break a
 benchmark run only when it is made; this checks the names up front.
 
+The traced dispatch.*_per_tx metrics count the cases `interpreter.classify`
+returns, and interpreter.steps_per_s divides steps by the time in `txn.run`
+spans.  So one `Kernel.execute` must call `txn.run` once and `classify`
+once per send, both by their module names.
+
 The open metrics divide the time in `durability.scan_frames` and
 `durability.decode_record` spans by the records opened, so opening a store
 must call each by its module name: the first once, the second once per
@@ -21,8 +26,13 @@ import os
 
 import pytest
 
-from sendkernel import durability, interpreter, scheduler
+from collections import Counter
+
+from sendkernel import durability, interpreter, scheduler, txn
+from sendkernel.assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
+from sendkernel.dispatch import EXTERNAL_TAG
 from sendkernel.patterns import ECHO_PROGRAM, creator, poke
+from sendkernel.txn import Kernel, SystemState
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -77,3 +87,68 @@ def test_open_calls_the_traced_decoders_by_name(tmp_path, monkeypatch):
     durable, _ = durability.DurableSystem.open(path, sync="none")
     durable.close()
     assert calls == {"scan_frames": 1, "decode_record": 5}
+
+
+def forwarder_program(peer):
+    """routed's forwarder: send tail(message) out to [7, [peer, head(message)]]."""
+    b = ProgramBuilder()
+    addressed = b.cons(Const(peer), b.head(Slot(SEED_MESSAGE)))
+    b.call(b.cons(Const(EXTERNAL_TAG), addressed), b.tail(Slot(SEED_MESSAGE)))
+    return b.halt()
+
+
+class SendWindows:
+    """Kernel tracer: the case of every send the run loop dispatches."""
+
+    def __init__(self):
+        self.cases = []
+
+    def on_classify(self, target):
+        self.cases.append(None)
+
+    def on_case(self, case, target):
+        self.cases[-1] = case.value
+
+    def on_projection(self, kind, ident):
+        pass
+
+    def on_append(self, entry, caller):
+        pass
+
+
+@pytest.mark.parametrize(
+    "setup, tx, cases",
+    [
+        (
+            creator(forwarder_program(2)),
+            poke(14, (15, 7)),
+            {"persistent": 1, "builtin": 2, "pair_form": 2, "external": 1},
+        ),
+        ((), creator(ECHO_PROGRAM), {"kernel": 1}),
+    ],
+    ids=["forwarder_poke", "echo_creation"],
+)
+def test_execute_runs_once_and_classifies_once_per_send(monkeypatch, setup, tx, cases):
+    windows = SendWindows()
+    kernel, system = Kernel(tracer=windows), SystemState.fresh()
+    if setup:
+        kernel.submit(system, setup)
+    runs, classified = [], Counter()
+    run, classify = txn.run, interpreter.classify
+
+    def counted_run(*args, **kwargs):
+        runs.append(1)
+        return run(*args, **kwargs)
+
+    def counted_classify(target, view):
+        case = classify(target, view)
+        classified[case.value] += 1
+        return case
+
+    monkeypatch.setattr(txn, "run", counted_run)
+    monkeypatch.setattr(interpreter, "classify", counted_classify)
+    windows.cases = []
+    outcome = kernel.execute(system.kernel, system.kernel.size, tx)
+    assert outcome.committed
+    assert runs == [1]
+    assert classified == Counter(windows.cases) == cases
