@@ -92,6 +92,7 @@ CASE_EXTERNAL = DispatchCase.EXTERNAL
 CASE_EPHEMERAL = DispatchCase.EPHEMERAL
 CASE_INVALID = DispatchCase.INVALID
 
+
 def classify(target: SExpr, view: StateView) -> DispatchCase:
     """Decide which send case handles `target`, first match wins.
 

@@ -1,4 +1,4 @@
-"""The five-instruction interpreter and the send dispatcher.
+"""The five-instruction interpreter, with every send dispatched in its loop.
 
 A running program owns a context list L seeded with five values:
 
@@ -17,9 +17,12 @@ run the pair as code in the sender's own context (positions 2/3/4
 inherited).  A persistent frame's L[3] is materialised on first read:
 the log is encoded only when a recall reads it, or when a send runs
 while L holds just its five seeds and so takes L[3] as its message.
-Nesting is tracked with an explicit frame stack so depth is bounded by
-the step budget, not by the host call stack.  Any undefined step aborts
-the whole transaction: there is no catch.
+
+run is one loop.  The running frame lives in locals; an explicit stack
+holds only the suspended frames, so depth is bounded by the step budget,
+not by the host call stack.  Each send calls the module's classify once
+and handles its case in place.  Any undefined step aborts the whole
+transaction: there is no catch.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ def run(
             if head == OP_QUOTE:
                 if not isinstance(rest, tuple):
                     return ABORT
-                value, ins = rest
-                ctx.append(value)
+                ctx.append(rest[0])
+                ins = rest[1]
                 continue
 
             # Any other pair: push the head verbatim, continue with the tail.
