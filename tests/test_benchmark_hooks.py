@@ -23,16 +23,17 @@ import dataclasses
 import importlib.util
 import inspect
 import os
+from collections import Counter
 
 import pytest
-
-from collections import Counter
 
 from sendkernel import durability, interpreter, scheduler, txn
 from sendkernel.assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
 from sendkernel.dispatch import EXTERNAL_TAG
 from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.txn import Kernel, SystemState
+
+from test_acceptance import ReadTracer
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -97,25 +98,6 @@ def forwarder_program(peer):
     return b.halt()
 
 
-class SendWindows:
-    """Kernel tracer: the case of every send the run loop dispatches."""
-
-    def __init__(self):
-        self.cases = []
-
-    def on_classify(self, target):
-        self.cases.append(None)
-
-    def on_case(self, case, target):
-        self.cases[-1] = case.value
-
-    def on_projection(self, kind, ident):
-        pass
-
-    def on_append(self, entry, caller):
-        pass
-
-
 @pytest.mark.parametrize(
     "setup, tx, cases",
     [
@@ -129,8 +111,8 @@ class SendWindows:
     ids=["forwarder_poke", "echo_creation"],
 )
 def test_execute_runs_once_and_classifies_once_per_send(monkeypatch, setup, tx, cases):
-    windows = SendWindows()
-    kernel, system = Kernel(tracer=windows), SystemState.fresh()
+    tracer = ReadTracer()  # one window per send the run loop dispatches
+    kernel, system = Kernel(tracer=tracer), SystemState.fresh()
     if setup:
         kernel.submit(system, setup)
     runs, classified = [], Counter()
@@ -147,8 +129,8 @@ def test_execute_runs_once_and_classifies_once_per_send(monkeypatch, setup, tx, 
 
     monkeypatch.setattr(txn, "run", counted_run)
     monkeypatch.setattr(interpreter, "classify", counted_classify)
-    windows.cases = []
+    tracer.windows = []
     outcome = kernel.execute(system.kernel, system.kernel.size, tx)
     assert outcome.committed
     assert runs == [1]
-    assert classified == Counter(windows.cases) == cases
+    assert classified == Counter(case.value for case, _, _ in tracer.windows) == cases
