@@ -22,7 +22,10 @@ between those fields is checked on every open; full semantic verification
 
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text (sexpr.parse_split): the
-text is parsed only when replay reads the record's tx.
+text is parsed only when replay reads the record's tx.  Decoded births
+share equal programs: a birth row whose program equals the previous birth
+program of the same read takes that object, so the reopened state holds one
+program per run of equal births, as the live system does.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .sexpr import (
     parse_split,
     unchain,
 )
-from .state import ABORT, ExternalSend, KernelState, LogEntry, TxRecord, rows_equal
+from .state import ABORT, KERNEL_IDENTITY, ExternalSend, KernelState, LogEntry, TxRecord, rows_equal
 from .txn import ExecResult, Kernel, KernelConfig, SystemState
 
 __all__ = [
@@ -232,7 +235,21 @@ def encode_record(seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int) ->
     return chain([seq, tx, tagged, delta, xi, k_len_after])
 
 
-def decode_record(x: SExpr, offset: int) -> TxRecord:
+def decode_record(x: SExpr, offset: int, last_birth: Optional[list] = None) -> TxRecord:
+    """The record a payload's value holds; StoreCorruption at offset if malformed.
+
+    last_birth is a one-item list holding the program of the previous birth
+    row decoded, None before the first; read_store passes one list to every
+    record.  A birth row is the row right after a creation row
+    (0, c, ident) whose receiver is ident.  When its program equals
+    last_birth's, the row takes that object; otherwise its program becomes
+    last_birth's.  So equal births decoded in a row share one program, the
+    way the live system's creations share the object their transaction
+    passed in, and the collector walks it once.
+    """
+    if last_birth is None:
+        last_birth = [None]
+
     def bad(reason: str):
         return StoreCorruption(reason, offset)
 
@@ -254,10 +271,18 @@ def decode_record(x: SExpr, offset: int) -> TxRecord:
     entries = []
     externals = []
     try:
+        created = None  # the identity the previous row created, if any
         while is_pair(delta):
             (receiver, (caller, (message, end))), delta = delta
             if end != 0 or not is_atom(receiver) or not is_atom(caller):
                 raise ValueError
+            if receiver == created:
+                previous = last_birth[0]
+                if previous is not None and equal(message, previous):
+                    message = previous
+                else:
+                    last_birth[0] = message
+            created = message if receiver == KERNEL_IDENTITY else None
             entries.append(LogEntry(receiver, caller, message))
         while is_pair(xi):
             (sender, (target, (message, end))), xi = xi
@@ -313,14 +338,17 @@ class StoreSnapshot:
 
 @contextmanager
 def _collector_paused():
-    """Hold off the cyclic garbage collector while a store decodes.
+    """Hold off the cyclic garbage collector while a store decodes or replays.
 
-    Decoding makes no cycles: its garbage (the scanner's lists) goes by
-    reference counting, and every value it keeps survives.  A collection
-    in the middle frees nothing, yet walks what has been decoded so far,
-    and the older generations walk it again and again.  Paused, the
-    decoded values meet the collector in the first pass after it, which
-    also untracks their pairs.  A collector that was off stays off.
+    Neither makes cycles: their garbage (the scanner's lists, each
+    transaction's parsed value and outcome) goes by reference counting,
+    and every value they keep survives.  A collection in the middle frees
+    nothing, yet walks what has been decoded or replayed so far, and the
+    older generations walk it again and again.  Paused, those values meet
+    the collector in the first pass after it, which also untracks their
+    pairs.  A collector that was off stays off.  tests/test_durability.py's
+    TestNoCycles pins the premise: after paused replays of the fixture
+    stores, gc.collect() finds nothing to free.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -346,9 +374,10 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
 
     records: list[TxRecord] = []
     k_len = 0
+    last_birth = [None]
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = decode_record(_parse_record(payload, i + 1), i + 1)
+            record = decode_record(_parse_record(payload, i + 1), i + 1, last_birth)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -565,24 +594,26 @@ def replay_compare(
     Returns the replayed system and the first divergence as (seq, field),
     field being "result", "delta", "k_len" or "externals", or None.  Each
     record itself is applied once its outcome matches, so the system holds
-    exactly the records replayed so far.
+    exactly the records replayed so far.  The loop runs with the collector
+    paused (_collector_paused).
     """
     system = SystemState.fresh()
     state = system.kernel
-    for record in records:
-        outcome = kernel.execute(state, state.size, record.tx)
-        if outcome.committed != record.committed or (
-            record.committed and not equal(outcome.result, record.result)
-        ):
-            return system, (record.seq, "result")
-        if not rows_equal(record.entries, outcome.entries):
-            return system, (record.seq, "delta")
-        if state.size + len(record.entries) != record.k_len_after:
-            return system, (record.seq, "k_len")
-        if not rows_equal(record.externals, outcome.externals):
-            return system, (record.seq, "externals")
-        state.append_all(record.entries)
-        system.records.append(record)
+    with _collector_paused():
+        for record in records:
+            outcome = kernel.execute(state, state.size, record.tx)
+            if outcome.committed != record.committed or (
+                record.committed and not equal(outcome.result, record.result)
+            ):
+                return system, (record.seq, "result")
+            if not rows_equal(record.entries, outcome.entries):
+                return system, (record.seq, "delta")
+            if state.size + len(record.entries) != record.k_len_after:
+                return system, (record.seq, "k_len")
+            if not rows_equal(record.externals, outcome.externals):
+                return system, (record.seq, "externals")
+            state.append_all(record.entries)
+            system.records.append(record)
     return system, None
 
 

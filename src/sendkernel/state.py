@@ -102,7 +102,7 @@ def rows_equal(a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TxRecord:
     """One admitted transaction's permanent outcome, as held and as stored.
 

@@ -28,14 +28,15 @@ from sendkernel.durability import (
     encode_header,
     encode_record,
     read_store,
+    replay_compare,
     replay_verify,
     scan_frames,
 )
 from sendkernel.compose import replicate
-from sendkernel.patterns import ECHO_PROGRAM, creator, poke
+from sendkernel.patterns import ECHO_PROGRAM, RELAY_PROGRAM, creator, poke
 from sendkernel.scheduler import run_concurrent
 from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, unchain
-from sendkernel.txn import ExecResult
+from sendkernel.txn import ExecResult, Kernel
 from sendkernel.state import ExternalSend, LogEntry
 
 from test_acceptance import _fixture_workloads
@@ -561,6 +562,49 @@ class TestLazyTransaction:
         assert (info.value.reason, info.value.offset) == (reason, 1)
 
 
+def birth_programs(entries):
+    """The program of every birth row: the row after a creation row
+    (0, c, ident) whose receiver is ident."""
+    pairs = zip(entries, entries[1:])
+    return [b.message for a, b in pairs if a.receiver == 0 and b.receiver == a.message]
+
+
+class TestSharedBirths:
+    """A decoded birth whose program equals the previous birth's takes that
+    object, as the live system's creations share the object they pass in;
+    unequal programs are never shared."""
+
+    P, Q = ECHO_PROGRAM, RELAY_PROGRAM
+    TXS = [creator(P, P, P), creator(P), creator(P, Q, P, Q), poke(14, 5), poke(20, 6)]
+    WANT = [P, P, P, P, P, Q, P, Q]
+
+    def check_births(self, births):
+        assert len(births) == len(self.WANT)
+        assert all(equal(got, want) for got, want in zip(births, self.WANT))
+        for a, b in zip(births, births[1:]):
+            assert (a is b) == equal(a, b)
+        assert len({id(b) for b in births}) == 4  # one object per run of equal births
+
+    def test_read_store_and_open_share_equal_births(self, tmp_path):
+        p = tmp_path / "s.log"
+        live = build_store(p, self.TXS)
+        with open(p, "rb") as fh:
+            payloads = scan_frames(fh.read()).payloads[1:]
+        snapshot = read_store(str(p), strict=True)
+        records = snapshot.records
+        assert len(records) == len(payloads) == len(live)
+        for i, (record, payload, twin) in enumerate(zip(records, payloads, live)):
+            assert record == twin and twin == record
+            assert record == decode_record(parse(payload.decode()), i + 1)
+        self.check_births([b for r in records for b in birth_programs(r.entries)])
+        assert replay_verify(snapshot) is None
+
+        durable, report = DurableSystem.open(str(p))
+        assert report.clean and durable.system.records == live
+        self.check_births(birth_programs(durable.system.kernel.entries))
+        durable.close()
+
+
 class TestNonValues:
     """Only s-expressions reach the file: a transaction carrying anything
     else is refused before a byte is written."""
@@ -726,6 +770,75 @@ class TestReplayVerify:
         div = replay_verify(store, Kernel(KernelConfig("hash", salt=1)))
         assert div is not None and div.seq == 0
         store.close()
+
+
+class TestReplayCollector:
+    """Replay pauses the cyclic collector and leaves it as it was, on every
+    way out of the loop."""
+
+    def kernel(self, case, config, seen):
+        if case == "divergent":
+            return Kernel(KernelConfig("hash", salt=1))  # trips on the first creation
+        if case == "raising":
+
+            def refusing_builtin(n, m):
+                seen.append(gc.isenabled())
+                raise RuntimeError("refused")
+
+            return Kernel(config, builtin_fn=refusing_builtin)
+        return Kernel(config)
+
+    @pytest.mark.parametrize("case", ["clean", "divergent", "raising"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_replay_leaves_the_collector_as_it_was(self, tmp_path, enabled, case):
+        p = tmp_path / "s.log"
+        build_store(p, SAMPLE_TXS)
+        snapshot = read_store(str(p), strict=True)
+        mismatch = (0, "result") if case == "divergent" else None
+        replays = [
+            (lambda k: replay_verify(snapshot, k), mismatch and Divergence(*mismatch)),
+            (lambda k: replay_compare(snapshot.records, k)[1], mismatch),
+        ]
+        seen = []
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for replay, want in replays:
+                kernel = self.kernel(case, snapshot.config, seen)
+                if case == "raising":
+                    with pytest.raises(RuntimeError, match="refused"):
+                        replay(kernel)
+                else:
+                    assert replay(kernel) == want
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([False, False] if case == "raising" else [])
+
+
+class TestNoCycles:
+    """Replay makes no reference cycles, which is why it may run with the
+    collector paused: after replays with the collector off, a collection
+    finds nothing unreachable."""
+
+    def test_replay_leaves_nothing_for_the_collector(self, tmp_path):
+        workloads = _fixture_workloads() + [
+            [creator(*[ECHO_PROGRAM] * 50), creator(ECHO), poke(14, (1, 2)), poke(64, 3)]
+        ]
+        snapshots = []
+        for n, txs in enumerate(workloads):
+            p = tmp_path / f"s{n}.log"
+            build_store(p, txs)
+            snapshots.append(read_store(str(p), strict=True))
+        was = gc.isenabled()
+        try:
+            gc.disable()
+            gc.collect()
+            for snapshot in snapshots:
+                assert replay_verify(snapshot) is None
+            assert gc.collect() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestDispatchExternals:
