@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
+from .assembler import SEED_MESSAGE
+from .dispatch import OP_QUOTE, OP_RECALL, OP_SEND
 from .durability import Store, next_external, replay_compare
 from .sexpr import SExpr, is_atom, is_pair
 from .state import ExternalSend, TxRecord
@@ -103,9 +104,10 @@ def forwarding_tx(send: ExternalSend, destination: SExpr) -> SExpr:
     The submitted program re-sends the routed message inside the target
     instance, so the receiving object sees it from caller 1.
     """
-    b = ProgramBuilder()
-    b.call(Const(destination), Slot(SEED_MESSAGE))
-    return (b.halt(), send.message)
+    target = (destination, (OP_SEND, 0))
+    if isinstance(destination, int) and destination in (OP_SEND, OP_RECALL, OP_QUOTE):
+        target = (OP_QUOTE, target)  # as ProgramBuilder.push quotes an opcode atom
+    return ((OP_RECALL, (SEED_MESSAGE, target)), send.message)
 
 
 Proxy = Callable[[ExternalSend, SExpr], SExpr]

@@ -205,9 +205,7 @@ def _parse_record(payload: bytes, offset_hint: int) -> SExpr:
 
 
 def encode_header(config: KernelConfig) -> SExpr:
-    return chain(
-        [HEADER_VERSION, ALLOC_CODES[config.allocator], config.salt, config.step_budget]
-    )
+    return chain([HEADER_VERSION, ALLOC_CODES[config.allocator], config.salt, config.step_budget])
 
 
 def decode_header(x: SExpr) -> KernelConfig:
@@ -226,13 +224,14 @@ def decode_header(x: SExpr) -> KernelConfig:
 
 
 def encode_record(seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int) -> SExpr:
-    if outcome.committed:
-        tagged = (1, outcome.result)
-    else:
-        tagged = 0
-    delta = chain([chain([e.receiver, e.caller, e.message]) for e in outcome.entries])
-    xi = chain([chain([s.sender, s.target, s.message]) for s in outcome.externals])
-    return chain([seq, tx, tagged, delta, xi, k_len_after])
+    # chain() of the six fields, of the rows and of each row, written out
+    tagged = (1, outcome.result) if outcome.committed else 0
+    delta = xi = 0
+    for receiver, caller, message in reversed(outcome.entries):
+        delta = ((receiver, (caller, (message, 0))), delta)
+    for sender, target, message in reversed(outcome.externals):
+        xi = ((sender, (target, (message, 0))), xi)
+    return (seq, (tx, (tagged, (delta, (xi, (k_len_after, 0))))))
 
 
 def decode_record(x: SExpr, offset: int, last_birth: Optional[list] = None) -> TxRecord:

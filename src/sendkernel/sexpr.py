@@ -11,13 +11,13 @@ input only.
 
 Canonical text is exactly compact JSON of nested 2-element arrays of
 naturals, so dumps and parse hand the per-node work to CPython's C json
-encoder and scanner.  parse first checks the text against the alphabet of
-digits, brackets, commas and whitespace, then has the C scanner build
-nested lists, then turns those into pairs in one iterative pass that also
-requires every list to hold exactly two items.  parse_split does the same
-for a whitespace-free text [a,[b,c]] except that it builds no pairs for b:
-it checks b's lists and hands back b's text, which a store reader keeps
-in place of a transaction until replay parses it.
+encoder (bound once, at import) and scanner.  parse first checks the text
+against the alphabet of digits, brackets, commas and whitespace, has the C
+scanner build nested lists, then turns those into pairs in one iterative
+pass that requires every list to hold exactly two items.  parse_split does
+the same for a whitespace-free text [a,[b,c]] except that it builds no
+pairs for b: it checks b's lists and hands back b's text, which a store
+reader keeps in place of a transaction until replay parses it.
 
 Values nest far deeper than any recursion limit (logs are right-nested
 pair chains).  The C code guards its own recursion with the interpreter's
@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Union
 
 SExpr = Union[int, tuple]
@@ -110,15 +111,18 @@ def equal(a: SExpr, b: SExpr) -> bool:
     return True
 
 
-# check_circular=False: tuples cannot form cycles, and the check would
-# record the id of every node.
-_encode = json.JSONEncoder(check_circular=False, separators=(",", ":")).encode
+# The C encoder JSONEncoder.encode builds per call, bound once (no markers:
+# tuples form no cycles).  Without _json, iterencode takes the same (x, 0).
+_encoder = json.JSONEncoder(check_circular=False, separators=(",", ":"))
+_c_encode = _encoder.iterencode if c_make_encoder is None else c_make_encoder(
+    None, _encoder.default, encode_basestring_ascii, None, ":", ",", False, False, True
+)
 
 
 def dumps(x: SExpr) -> str:
     """Canonical text of a value: injective, whitespace-free."""
     try:
-        return _encode(x)
+        return "".join(_c_encode(x, 0))
     except (RecursionError, ValueError):  # too deep, or an atom too long
         return _dumps_walk(x)
 

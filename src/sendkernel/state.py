@@ -14,7 +14,7 @@ to other transactions until commit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .sexpr import SExpr, dumps, equal, is_atom, parse
@@ -72,15 +72,17 @@ class ExternalSend(NamedTuple):
     message: SExpr
 
 
-@dataclass
 class Effects:
     """A transaction's pending state: log appends and outbound sends.
 
     Discarded wholesale on abort; applied wholesale on commit.
     """
 
-    entries: list[LogEntry] = field(default_factory=list)
-    externals: list[ExternalSend] = field(default_factory=list)
+    __slots__ = ("entries", "externals")
+
+    def __init__(self) -> None:
+        self.entries: list[LogEntry] = []
+        self.externals: list[ExternalSend] = []
 
 
 def rows_equal(a, b) -> bool:

@@ -49,7 +49,7 @@ class KernelConfig:
             raise ValueError("step budget must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecResult:
     """Outcome of executing one transaction against a snapshot."""
 
@@ -120,14 +120,7 @@ class Kernel:
         program, message = tx
         ctx = [program, message, EXTERNAL, 0, EXTERNAL]
         result = run(
-            ctx,
-            program,
-            view,
-            effects,
-            budget,
-            self.alloc_fn,
-            self.builtin_fn,
-            self.tracer,
+            ctx, program, view, effects, budget, self.alloc_fn, self.builtin_fn, self.tracer
         )
         if result is ABORT:
             return ExecResult(ABORT, [], [], budget.spent)

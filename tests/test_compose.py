@@ -18,8 +18,10 @@ from sendkernel.compose import (
     forwarding_tx,
     replicate,
 )
-from sendkernel.dispatch import builtin
+from sendkernel.assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
+from sendkernel.dispatch import OP_QUOTE, OP_RECALL, OP_SEND, builtin
 from sendkernel.durability import DurableSystem, Store
+from sendkernel.sexpr import dumps
 from sendkernel.state import ExternalSend
 
 from test_interpreter import ECHO, asm
@@ -42,6 +44,33 @@ def tx_cross(instance_key, destination, message):
 
 
 TX_ABORT = ((0, 4), 0)
+
+
+def builder_forwarding_program(destination):
+    """The program forwarding_tx writes out, as ProgramBuilder assembles it."""
+    b = ProgramBuilder()
+    b.call(Const(destination), Slot(SEED_MESSAGE))
+    return b.halt()
+
+
+FORWARDING_DESTINATIONS = list(range(21)) + [
+    (6, 14),
+    (7, (2, 15)),
+    ((6, (7, 0)), (3, (5, 2))),
+    10**5000 + 3,  # past int()'s 4,300-digit limit
+]
+
+
+@pytest.mark.parametrize("destination", FORWARDING_DESTINATIONS, ids=lambda d: dumps(d)[:16])
+def test_forwarding_tx_is_the_builder_program(destination):
+    send = ExternalSend(14, (7, (1, destination)), (9, (8, 0)))
+    tx = forwarding_tx(send, destination)
+    want = (builder_forwarding_program(destination), (9, (8, 0)))
+    assert tx == want and dumps(tx) == dumps(want)
+    target = (destination, (OP_SEND, 0))
+    if destination in (OP_SEND, OP_RECALL, OP_QUOTE):
+        target = (OP_QUOTE, target)
+    assert tx[0] == (OP_RECALL, (SEED_MESSAGE, target))
 
 
 class TestRouting:

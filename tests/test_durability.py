@@ -8,6 +8,7 @@ be reported, never repaired silently.
 
 import errno
 import gc
+import hashlib
 import os
 import zlib
 
@@ -32,7 +33,7 @@ from sendkernel.durability import (
     replay_verify,
     scan_frames,
 )
-from sendkernel.compose import replicate
+from sendkernel.compose import Router, replicate
 from sendkernel.patterns import ECHO_PROGRAM, RELAY_PROGRAM, creator, poke
 from sendkernel.scheduler import run_concurrent
 from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, unchain
@@ -40,6 +41,7 @@ from sendkernel.txn import ExecResult, Kernel
 from sendkernel.state import ExternalSend, LogEntry
 
 from test_acceptance import _fixture_workloads
+from test_benchmark_hooks import forwarder_program
 from test_interpreter import asm
 
 
@@ -196,6 +198,25 @@ class TestRecordCodec:
         bad = chain([0, (1, 2), 0, chain([chain([5, 1, 0])]), 0, 0])
         with pytest.raises(StoreCorruption):
             decode_record(bad, 0)
+
+    @pytest.mark.parametrize(
+        "result, entries, externals",
+        [
+            (14, [LogEntry(0, 1, 14), LogEntry(14, 1, (8, 0))], [ExternalSend(1, (3, 4), 77)]),
+            (ABORT, [], []),
+            ((5, 6), [LogEntry(14, 1, 3), LogEntry(15, 14, ((1, 2), 0))], []),
+            (0, [], [ExternalSend(14, (7, (2, 15)), (9, 9)), ExternalSend(1, (3, 4), 10**5000)]),
+        ],
+        ids=["committed", "aborted", "two_entries", "two_externals"],
+    )
+    def test_matches_the_chained_form(self, result, entries, externals):
+        outcome = ExecResult(result, entries, externals, 10)
+        tagged = 0 if result is ABORT else (1, result)
+        delta = chain([chain(e) for e in entries])
+        xi = chain([chain(s) for s in externals])
+        want = record(3, tagged, delta, xi, 2)
+        got = encode_record(3, (1, 2), outcome, 2)
+        assert got == want and dumps(got) == dumps(want)
 
     def test_malformed_rows_rejected(self):
         bad = chain([0, (1, 2), (1, 9), chain([chain([5, 1])]), 0, 1])
@@ -628,6 +649,66 @@ class TestNonValues:
         back, report = DurableSystem.open(str(p))
         assert report.clean and back.system.records == records + [after]
         back.close()
+
+
+FIXTURE_NAMES = ["delegation", "auction", "escrow", "clone", "bootloader", "folds"]
+PINNED_CONFIGS = {"seq": KernelConfig(), "hash": KernelConfig("hash", salt=99)}
+
+# sha256 of each store pinned_stores writes, as the record codec wrote them
+# before encode_record, dumps and forwarding_tx lost their chain(), their
+# per-call C encoder and their ProgramBuilder: a byte moved moves a digest.
+PINNED_DIGESTS = {
+    "delegation_seq": "059f5340f21260cbfc5038fe3b835a39fa9daeac431f2ef7465bf6a353cf653b",
+    "auction_seq": "ce908a4f454bf76dabc89bc99352a3c1602f8ba6edb3db7d1075fe50c682c659",
+    "escrow_seq": "137e738d7df7762e81a51ecb2f57fbc6db0be7ae1730508e5371a10b01ff6982",
+    "clone_seq": "cbca351c4ee04eeeded8cc8030289c1233fdda2351ca9fcb173cf5f73eb970cd",
+    "bootloader_seq": "062168f85776e94ceea9b1b01c6802aa0348cbc8f09bdd3197e69d36029f8ce7",
+    "folds_seq": "085e344656206a33243eada2e2cc0afa7f49ef2b5b43021c4190e624e6701dbc",
+    "routed_origin_seq": "86948ae667129d178b97077e1a96306339ce4b17a126b41f252c3855ab9e69f7",
+    "routed_peer_seq": "ed08186d1da912c6783af8c01b21ab914f627173e48b39c752f97b28d1102da2",
+    "delegation_hash": "47a14472be988e5b10bf1ea84061a72b69fe6493308398da3ee85c53d1dab747",
+    "auction_hash": "a7ee636bf045685450889a3f4b35c7f21ac3dc6eec96ce30a8690f74e60d410c",
+    "escrow_hash": "36a529c5eaac5d4b82d46ae5c13547d9b443cbbb6bc7cc07d9366c07ad0f4bd2",
+    "clone_hash": "70314121879603b7f86c9a54c4f13aaa31c937de035e906f7e93ae0569f31019",
+    "bootloader_hash": "2477e4f0afdc389eb616ff580e430fe84a1e373d0f1c7379ae1069618331b071",
+    "folds_hash": "3736222e440fa217f8cbc2a75961b2a6eb39e67595251db3b0421999748c3442",
+    "routed_origin_hash": "07f3ae0ffe66ff01ff9a204dfa2ccaae0bb2abdb3c7da2e7264f541e6a5a10a9",
+    "routed_peer_hash": "86aa86861fc30f3a6d35985fad91263a15c80f7716096217c1f0b2ac89fcc6f8",
+}
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def pinned_stores(directory):
+    """Write every fixture workload, and one routed origin/peer pair, under
+    both allocators; return each store's sha256 by name."""
+    digests = {}
+    for allocator, config in PINNED_CONFIGS.items():
+        for name, txs in zip(FIXTURE_NAMES, _fixture_workloads()):
+            path = os.path.join(directory, f"{name}_{allocator}.store")
+            build_store(path, txs, config)
+            digests[f"{name}_{allocator}"] = sha256_of(path)
+        paths = [os.path.join(directory, f"routed_{side}_{allocator}.store") for side in "op"]
+        origin, peer = [DurableSystem.create(p, config, sync="none") for p in paths]
+        router = Router()
+        router.add_instance(1, durable=origin)
+        router.add_instance(2, durable=peer)
+        forwarder = origin.submit(creator(forwarder_program(2))).result
+        echo = peer.submit(creator(ECHO_PROGRAM)).result
+        assert router.submit(1, poke(forwarder, (echo, 123456))).committed
+        assert router.pump().deliveries == 1 and peer.system.records[-1].committed
+        origin.close()
+        peer.close()
+        for side, path in zip(("origin", "peer"), paths):
+            digests[f"routed_{side}_{allocator}"] = sha256_of(path)
+    return digests
+
+
+def test_store_bytes_are_pinned(tmp_path):
+    assert pinned_stores(str(tmp_path)) == PINNED_DIGESTS
 
 
 class TestUnboundedValues:

@@ -1,5 +1,6 @@
 """Value domain: construction, equality, canonical text round-trips."""
 
+import json
 import random
 import sys
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sendkernel import sexpr
+from sendkernel.durability import DurableSystem
+from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.sexpr import (
     ParseError,
     atom,
@@ -271,6 +274,66 @@ class TestDifferential:
         x = nested(200, left=False), nested(200, left=True)
         assert equal(parse(dumps(x)), x)
         assert parse(" [ 1 ,\t[ 2 ,\r\n0 ] ] ") == (1, (2, 0))
+
+
+def json_text(x):
+    """The reference for dumps: compact json.dumps."""
+    return json.dumps(x, separators=(",", ":"))
+
+
+def deep_text(depth, left):
+    """The text json_text would give nested(depth, left) past the recursion limit."""
+    if left:
+        return "[" * depth + "0" + "".join(f",{i % 7}]" for i in range(depth))
+    return "".join(f"[{i % 7}," for i in reversed(range(depth))) + "0" + "]" * depth
+
+
+NON_VALUES = [True, -5, 1.5, None, (1, 2, 3), ()]
+
+
+class TestDumpsAgainstJson:
+    """dumps binds the C encoder json.dumps builds per call; it must write
+    what json.dumps writes, and fall back to the walker where json cannot."""
+
+    @given(sexprs())
+    def test_values(self, x):
+        assert dumps(x) == json_text(x)
+
+    @pytest.mark.parametrize("bad", NON_VALUES, ids=repr)
+    def test_non_values_write_json_and_are_still_refused(self, tmp_path, bad):
+        assert dumps(bad) == json_text(bad)
+        ds = DurableSystem.create(str(tmp_path / "s.log"), sync="none")
+        ds.submit(creator(ECHO_PROGRAM))
+        with pytest.raises(ValueError):
+            ds.submit(poke(14, bad))
+        ds.close()
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_a_value_past_the_recursion_limit(self, left):
+        x = nested(200_000, left)
+        assert dumps(x) == deep_text(200_000, left)
+
+    def test_an_atom_past_the_digit_limit(self):
+        x = (1, (LONG, 0))
+        with pytest.raises(ValueError):
+            json_text(x)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # 0: no limit
+        try:
+            want = json_text(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert dumps(x) == want
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        # What dumps binds where the _json module is missing.
+        monkeypatch.setattr(sexpr, "_c_encode", sexpr._encoder.iterencode)
+        rng = random.Random(7)
+        values = [random_sexpr(rng, 8) for _ in range(50)]
+        for x in values + [nested(5000, True), (1, (LONG, 0))]:
+            assert dumps(x) == _dumps_walk(x)
+        for x in values:
+            assert dumps(x) == json_text(x)
 
 
 class TestParseSplit:
