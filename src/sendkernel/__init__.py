@@ -34,6 +34,7 @@ from .durability import (
     RecoveryReport,
     Store,
     StoreCorruption,
+    StoreLocked,
     StoreSnapshot,
     StoreUninitialized,
     dispatch_externals,
@@ -100,6 +101,7 @@ __all__ = [
     "RecoveryReport",
     "Store",
     "StoreCorruption",
+    "StoreLocked",
     "StoreSnapshot",
     "StoreUninitialized",
     "dispatch_externals",

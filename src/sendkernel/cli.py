@@ -28,6 +28,7 @@ from .durability import (
     DurableSystem,
     Store,
     StoreCorruption,
+    StoreLocked,
     StoreSnapshot,
     StoreUninitialized,
     read_store,
@@ -358,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FixtureMismatch as e:
         print(f"fixture mismatch: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (FileNotFoundError, FileExistsError, ValueError) as e:  # AdmissionError too
+    except (FileNotFoundError, FileExistsError, StoreLocked, ValueError) as e:  # AdmissionError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

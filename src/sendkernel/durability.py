@@ -21,15 +21,25 @@ between those fields is checked on every open; full semantic verification
 (re-running each transaction and comparing) is replay_verify.
 
 Open rebuilds the system from the deltas alone, so it checks each
-transaction but keeps it as its canonical text (sexpr.parse_split): the
-text is parsed only when replay reads the record's tx.  Decoded births
-share equal programs: a birth row whose program equals the previous birth
-program of the same read takes that object, so the reopened state holds one
-program per run of equal births, as the live system does.
+transaction but keeps it as its canonical text: the text is parsed only
+when replay reads the record's tx.  The rest of the payload is decoded
+from the C scanner's lists (sexpr.scan_split): decode_record reads the
+fields by unpacking and turns into pairs only the values the record keeps.
+A payload the scanner refuses, or whose lists decode_record refuses, is
+parsed whole and decoded again, so damage is reported as the parser and
+decode_record report it.  Decoded births share equal programs: a birth row
+whose program equals the previous birth program of the same read takes
+that object, so the reopened state holds one program per run of equal
+births, as the live system does.  The comparison is made on the scanner's
+lists, before conversion, so a run of equal births converts one program.
+
+A store has one writer at a time: Store.create and Store.open lock the
+file, and read_store, which never writes, takes no lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import gc
 import os
 import re
@@ -40,15 +50,15 @@ from typing import Callable, Optional, Sequence, Union
 
 from .sexpr import (
     SExpr,
+    _pairs,
     chain,
     dumps,
     equal,
     in_canonical_alphabet,
     is_atom,
-    is_pair,
     nodes_are_pairs,
     parse,
-    parse_split,
+    scan_split,
     unchain,
 )
 from .state import ABORT, KERNEL_IDENTITY, ExternalSend, KernelState, LogEntry, TxRecord, rows_equal
@@ -57,6 +67,7 @@ from .txn import ExecResult, Kernel, KernelConfig, SystemState
 __all__ = [
     "StoreCorruption",
     "StoreUninitialized",
+    "StoreLocked",
     "RecoveryReport",
     "Store",
     "StoreSnapshot",
@@ -92,6 +103,10 @@ class StoreCorruption(Exception):
 
 class StoreUninitialized(Exception):
     """The file does not contain a complete header frame."""
+
+
+class StoreLocked(Exception):
+    """Another writer holds the store."""
 
 
 # frame codec ---------------------------------------------------------------
@@ -188,17 +203,25 @@ def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
         raise StoreCorruption(f"unreadable payload: {exc}", offset_hint) from None
 
 
-def _parse_record(payload: bytes, offset_hint: int) -> SExpr:
-    """A record payload's value, its transaction left as canonical text.
+def _decode_payload(payload: bytes, offset: int, last_birth: list) -> TxRecord:
+    """decode_record of a record payload read as the C scanner's lists.
 
-    A payload parse_split refuses is parsed whole, transaction and all, so
-    that a damaged one is reported exactly as _parse_payload reports it.
+    The transaction stays canonical text (sexpr.scan_split).  A payload the
+    scanner refuses, or whose lists decode_record refuses, is decoded the
+    reference way: parsed whole, transaction and all, then decode_record of
+    its value.  So a damaged payload is reported exactly as _parse_payload
+    and decode_record report it.
     """
     try:
-        x = parse_split(payload.decode("ascii"))
+        split = scan_split(payload.decode("ascii"))
     except UnicodeDecodeError:
-        x = None
-    return _parse_payload(payload, offset_hint) if x is None else x
+        split = None
+    if split is not None:
+        try:
+            return decode_record(split, offset, last_birth)
+        except StoreCorruption:
+            pass
+    return decode_record(_parse_payload(payload, offset), offset, last_birth)
 
 
 # header and record payloads -------------------------------------------------
@@ -234,20 +257,24 @@ def encode_record(seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int) ->
     return (seq, (tx, (tagged, (delta, (xi, (k_len_after, 0))))))
 
 
-def decode_record(x: SExpr, offset: int, last_birth: Optional[list] = None) -> TxRecord:
-    """The record a payload's value holds; StoreCorruption at offset if malformed.
+def decode_record(x, offset: int, last_birth: Optional[list] = None) -> TxRecord:
+    """The record a payload holds; StoreCorruption at offset if malformed.
 
-    last_birth is a one-item list holding the program of the previous birth
-    row decoded, None before the first; read_store passes one list to every
-    record.  A birth row is the row right after a creation row
-    (0, c, ident) whose receiver is ident.  When its program equals
-    last_birth's, the row takes that object; otherwise its program becomes
-    last_birth's.  So equal births decoded in a row share one program, the
-    way the live system's creations share the object their transaction
-    passed in, and the collector walks it once.
+    x is the payload's value, or sexpr.scan_split's reading of its text:
+    the fields are read by unpacking, which takes a two-item list as it
+    takes a pair and refuses a list of any other length.  Only what the
+    record keeps is turned into pairs: the result, each row's message and
+    each outward send's target and message.
+
+    last_birth is a two-item list, [None, None] before the first birth;
+    read_store passes one list to every record.  A birth row is the row
+    right after a creation row (0, c, ident) whose receiver is ident.
+    Equal births decoded in a row share one program, the way the live
+    system's creations share the object their transaction passed in, and
+    the collector walks it once (_shared_birth).
     """
     if last_birth is None:
-        last_birth = [None]
+        last_birth = [None, None]
 
     def bad(reason: str):
         return StoreCorruption(reason, offset)
@@ -262,32 +289,34 @@ def decode_record(x: SExpr, offset: int, last_birth: Optional[list] = None) -> T
 
     if tagged == 0:
         result = ABORT
-    elif is_pair(tagged) and tagged[0] == 1:
-        result = tagged[1]
     else:
-        raise bad("malformed result tag")
+        try:
+            tag, result = tagged
+            if tag != 1:
+                raise ValueError
+            result = _pairs(result)
+        except (TypeError, ValueError):
+            raise bad("malformed result tag") from None
 
     entries = []
     externals = []
     try:
         created = None  # the identity the previous row created, if any
-        while is_pair(delta):
+        while delta.__class__ is not int:
             (receiver, (caller, (message, end))), delta = delta
             if end != 0 or not is_atom(receiver) or not is_atom(caller):
                 raise ValueError
             if receiver == created:
-                previous = last_birth[0]
-                if previous is not None and equal(message, previous):
-                    message = previous
-                else:
-                    last_birth[0] = message
+                message = _shared_birth(message, last_birth)
+            elif message.__class__ is list:
+                message = _pairs(message)
             created = message if receiver == KERNEL_IDENTITY else None
             entries.append(LogEntry(receiver, caller, message))
-        while is_pair(xi):
+        while xi.__class__ is not int:
             (sender, (target, (message, end))), xi = xi
             if end != 0 or not is_atom(sender):
                 raise ValueError
-            externals.append(ExternalSend(sender, target, message))
+            externals.append(ExternalSend(sender, _pairs(target), _pairs(message)))
         if delta != 0 or xi != 0:
             raise ValueError
     except (TypeError, ValueError):
@@ -296,6 +325,27 @@ def decode_record(x: SExpr, offset: int, last_birth: Optional[list] = None) -> T
     if result is ABORT and (entries or externals):
         raise bad("aborted record carries effects")
     return TxRecord(seq, tx, result, tuple(entries), tuple(externals), k_len_after)
+
+
+def _shared_birth(message, last_birth: list) -> SExpr:
+    """A birth row's program: the previous birth's program when equal.
+
+    last_birth holds that program and the message it was read from, kept
+    unconverted: the scanner's lists, with keep undoing _pairs' marks, or
+    the parsed value of a payload read the reference way.  The message in
+    hand is compared with that form before it is converted, so a run of
+    equal births from the scanner converts its first program only.  A
+    message that differs from it is converted and then compared with the
+    program itself, which shares births across a payload read either way.
+    """
+    program, raw = last_birth
+    if raw is not None and equal(message, raw):
+        return program
+    value = _pairs(message, keep=True) if message.__class__ is list else message
+    last_birth[1] = message
+    if program is None or not equal(value, program):
+        last_birth[0] = program = value
+    return program
 
 
 # the store ------------------------------------------------------------------
@@ -373,10 +423,10 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
 
     records: list[TxRecord] = []
     k_len = 0
-    last_birth = [None]
+    last_birth = [None, None]
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = decode_record(_parse_record(payload, i + 1), i + 1, last_birth)
+            record = _decode_payload(payload, i + 1, last_birth)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -392,8 +442,23 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
     return StoreSnapshot(config, tuple(records), report)
 
 
+def _take_writer_lock(handle, path: str) -> None:
+    """Lock the store for this handle until it is closed, or close it and
+    raise StoreLocked: another handle, in this process or another, holds it.
+    The lock is flock's, so it is advisory; read_store takes none."""
+    try:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        handle.close()
+        raise StoreLocked(f"store {path} is open for writing elsewhere") from None
+
+
 class Store:
     """Append-only frame file plus the records its frames hold.
+
+    A store has one writer: create and open lock the file, and a second
+    writer gets StoreLocked before it reads or truncates anything.  The
+    lock goes with the handle, when the store is closed or abandoned.
 
     append() writes a frame and nothing else.  The record joins `records`
     when its outcome is applied to a system: a DurableSystem's SystemState
@@ -442,6 +507,7 @@ class Store:
         if os.path.exists(path):
             raise FileExistsError(f"store already exists: {path}")
         fh = open(path, "xb")
+        _take_writer_lock(fh, path)
         fh.write(encode_frame(dumps(encode_header(config)).encode("ascii")))
         fh.flush()
         os.fsync(fh.fileno())
@@ -455,17 +521,22 @@ class Store:
         group_size: int = 1,
         strict: bool = False,
     ) -> tuple["Store", RecoveryReport]:
-        """read_store, then truncate a torn tail and open the write handle.
+        """Take the writer lock, read_store, then truncate a torn tail.
 
         Recovery needs no re-execution: the recorded deltas are the state.
         """
-        snapshot = read_store(path, strict)
-        report = snapshot.report
-        if not report.clean:
-            with open(path, "r+b") as fh:
-                fh.truncate(report.torn_offset)
-        handle = open(path, "ab")
-        store = cls(path, snapshot.config, list(snapshot.records), handle, sync, group_size)
+        handle = open(os.open(path, os.O_WRONLY | os.O_APPEND), "ab")
+        try:
+            _take_writer_lock(handle, path)
+            snapshot = read_store(path, strict)
+            report = snapshot.report
+            if not report.clean:
+                handle.truncate(report.torn_offset)
+                handle.seek(0, os.SEEK_END)
+            store = cls(path, snapshot.config, list(snapshot.records), handle, sync, group_size)
+        except BaseException:
+            handle.close()
+            raise
         return store, report
 
     def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> None:

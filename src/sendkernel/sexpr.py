@@ -14,10 +14,12 @@ naturals, so dumps and parse hand the per-node work to CPython's C json
 encoder (bound once, at import) and scanner.  parse first checks the text
 against the alphabet of digits, brackets, commas and whitespace, has the C
 scanner build nested lists, then turns those into pairs in one iterative
-pass that requires every list to hold exactly two items.  parse_split does
-the same for a whitespace-free text [a,[b,c]] except that it builds no
-pairs for b: it checks b's lists and hands back b's text, which a store
-reader keeps in place of a transaction until replay parses it.
+pass that requires every list to hold exactly two items.  scan_split reads
+a whitespace-free text [a,[b,c]] with three scanner calls and builds no
+pairs at all: it checks b's lists and hands back b's text, which a store
+reader keeps in place of a transaction until replay parses it, and it
+hands back a and c as the scanner's lists, which the store reader unpacks
+where it reads fields and turns into pairs only where it keeps a value.
 
 Values nest far deeper than any recursion limit (logs are right-nested
 pair chains).  The C code guards its own recursion with the interpreter's
@@ -51,7 +53,7 @@ __all__ = [
     "equal",
     "dumps",
     "parse",
-    "parse_split",
+    "scan_split",
     "in_canonical_alphabet",
     "nodes_are_pairs",
     "chain",
@@ -90,7 +92,11 @@ def pair(head: SExpr, tail: SExpr) -> tuple:
 
 def equal(a: SExpr, b: SExpr) -> bool:
     """Structural equality: C's tuple comparison, then a worklist walk for
-    values nested past the recursion limit."""
+    values nested past the recursion limit.
+
+    A store reader also compares the C scanner's nested lists with it, so
+    the walk checks lengths: a list of three items never equals a pair.
+    """
     try:
         return a == b
     except RecursionError:
@@ -104,7 +110,7 @@ def equal(a: SExpr, b: SExpr) -> bool:
             if not isinstance(y, int) or x != y:
                 return False
         else:
-            if isinstance(y, int):
+            if isinstance(y, int) or len(x) != len(y):
                 return False
             stack.append((x[0], y[0]))
             stack.append((x[1], y[1]))
@@ -204,14 +210,18 @@ def parse(text: str) -> SExpr:
     return _parse_walk(text)
 
 
-def parse_split(text: str) -> Optional[tuple]:
-    """parse of a text [a,[b,c]] that leaves b as text: (a, (b_text, c)).
+def scan_split(text: str) -> Optional[tuple]:
+    """The C scanner's reading of a text [a,[b,c]] that leaves b as text:
+    (a, (b_text, c)).
 
-    b_text is checked as parse would check it, but no value is built from
-    it; since the text holds no whitespace, it is exactly dumps of that
-    value.  Returns None for any text parse must handle itself: one with
-    whitespace or of another shape, and any the C scanner refuses
-    (malformed text, nesting past its limit, atoms past 4,300 digits).
+    a and c are as the scanner built them, ints and nested lists, and their
+    lists are not checked: unpacking one, or _pairs, finds a list of other
+    than two items.  b_text is checked as parse would check it, but no value
+    is built from it; since the text holds no whitespace, it is exactly
+    dumps of that value.  Returns None for any text parse must handle
+    itself: one with whitespace or of another shape, and any the C scanner
+    refuses (malformed text, nesting past its limit, atoms past 4,300
+    digits).
     """
     if text[:1] != "[" or not in_canonical_alphabet(text):  # scans start past [0]
         return None
@@ -226,9 +236,9 @@ def parse_split(text: str) -> Optional[tuple]:
         if text[k:] != "]]":
             return None
         _lists(b)
-        return (_pairs(a), (text[i + 2 : j], _pairs(c)))
     except (StopIteration, RecursionError, ValueError):  # StopIteration: no value
         return None
+    return (a, (text[i + 2 : j], c))
 
 
 def _lists(x) -> list:
@@ -245,18 +255,20 @@ def _lists(x) -> list:
     return lists
 
 
-def _pairs(x) -> SExpr:
-    """Turn the scanner's nested lists into pairs, bottom-up.
+def _pairs(x, keep: bool = False) -> SExpr:
+    """Turn the scanner's nested lists into pairs, bottom-up; an int or a
+    pair comes back as it is.
 
-    Raises ValueError unless every list holds exactly two items.
+    Raises ValueError unless every list holds exactly two items.  Each list
+    holds its pair at [2] while its parent is converted; keep deletes those
+    again, so that x can still be compared with other scanner output.
     """
     lists = _lists(x)
-    # Children first; a converted list keeps its pair at [2].  The lists
-    # stay alive to the end.  Freeing each as its pair is made lowers the
-    # peak of opening fold_kv's store from 108 to 90 MB, but even with the
-    # collector paused during open it opens no store faster: fold_kv's
-    # 1.4x and routed's 1.2x slower, spread_create's even (4 alternated
-    # rounds each).
+    # Children first.  The lists stay alive to the end.  Freeing each as its
+    # pair is made lowers the peak of opening fold_kv's store from 108 to
+    # 90 MB, but even with the collector paused during open it opens no
+    # store faster: fold_kv's 1.4x and routed's 1.2x slower, spread_create's
+    # even (4 alternated rounds each).
     for node in reversed(lists):
         head, tail = node
         if head.__class__ is list:
@@ -264,7 +276,13 @@ def _pairs(x) -> SExpr:
         if tail.__class__ is list:
             tail = tail[2]
         node.append((head, tail))
-    return x[2] if lists else x
+    if not lists:
+        return x
+    value = x[2]
+    if keep:
+        for node in lists:
+            del node[2]
+    return value
 
 
 _WS = " \t\r\n"

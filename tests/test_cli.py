@@ -217,6 +217,19 @@ def test_recover_reports_torn_tail(delegation_store, capsys):
     assert "verified 5 transactions" in out
 
 
+def test_a_store_held_by_a_writer_is_refused_but_readable(delegation_store, capsys):
+    store, _ = delegation_store
+    holder, _ = DurableSystem.open(str(store))
+    before = file_hash(store)
+    for argv in (["recover"], ["exec", write_txfile(store.with_name("more"), [poke(14, 1)])]):
+        code, _, err = run_main(capsys, argv + ["--store", str(store)])
+        assert code == EXIT_USAGE and "open for writing elsewhere" in err
+    code, out, _ = run_main(capsys, ["verify", "--store", str(store)])
+    assert code == EXIT_OK and "verified 6 transactions" in out
+    holder.close()
+    assert file_hash(store) == before
+
+
 def test_dump_object_log(delegation_store, capsys):
     store, _ = delegation_store
     code, out, _ = run_main(capsys, ["dump", "15", "--store", str(store)])

@@ -10,6 +10,8 @@ import errno
 import gc
 import hashlib
 import os
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -21,6 +23,7 @@ from sendkernel.durability import (
     RecoveryReport,
     Store,
     StoreCorruption,
+    StoreLocked,
     StoreUninitialized,
     decode_header,
     decode_record,
@@ -36,7 +39,8 @@ from sendkernel.durability import (
 from sendkernel.compose import Router, replicate
 from sendkernel.patterns import ECHO_PROGRAM, RELAY_PROGRAM, creator, poke
 from sendkernel.scheduler import run_concurrent
-from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, unchain
+from sendkernel import durability
+from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, scan_split, unchain
 from sendkernel.txn import ExecResult, Kernel
 from sendkernel.state import ExternalSend, LogEntry
 
@@ -330,6 +334,84 @@ class TestStoreLifecycle:
             Store.create(str(tmp_path / "x.log"), sync="sometimes")
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+class TestSingleWriter:
+    """A store has one writer at a time: Store.create and Store.open hold an
+    exclusive lock on the file until the store is closed, and a second
+    writer is refused before it reads or truncates anything.  Reading a
+    store takes no lock."""
+
+    def test_a_second_open_in_one_process_is_refused(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        build_store(p, SAMPLE_TXS[:2])
+        store, _ = Store.open(p)
+        with pytest.raises(StoreLocked):
+            Store.open(p)
+        with pytest.raises(StoreLocked):
+            DurableSystem.open(p)
+        assert len(read_store(p, strict=True).records) == 2
+        store.close()
+        again, report = Store.open(p)  # closing released the lock
+        assert report.records == 2
+        again.close()
+
+    def test_a_created_store_is_held(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        ds = DurableSystem.create(p, sync="none")
+        ds.submit(SAMPLE_TXS[0])
+        with pytest.raises(StoreLocked):
+            Store.open(p)
+        ds.close()
+        Store.open(p)[0].close()
+
+    def test_a_refused_writer_leaves_the_holders_tail_alone(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        build_store(p, SAMPLE_TXS[:2])
+        store, _ = Store.open(p)
+        with open(p, "ab") as fh:
+            fh.write(b"999:aaaa")  # the holder's frame, half written
+        before = open(p, "rb").read()
+        with pytest.raises(StoreLocked):
+            Store.open(p)
+        assert open(p, "rb").read() == before
+        store.close()
+
+    def test_a_store_held_by_another_process_is_refused(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        build_store(p, SAMPLE_TXS[:2])
+        child = (
+            "import sys\n"
+            "from sendkernel.durability import Store, StoreLocked\n"
+            "try:\n"
+            "    Store.open(sys.argv[1])[0].close()\n"
+            "except StoreLocked:\n"
+            "    sys.exit(3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+
+        def open_in_child():
+            return subprocess.run([sys.executable, "-c", child, p], env=env).returncode
+
+        store, _ = Store.open(p)
+        assert open_in_child() == 3
+        store.close()
+        assert open_in_child() == 0
+
+    def test_a_failed_append_releases_the_lock(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        ds = DurableSystem.create(p, sync="flush")
+        ds.submit(SAMPLE_TXS[0])
+        ds.store._fh = FailingHandle(ds.store._fh, "write")
+        with pytest.raises(OSError):
+            ds.submit(SAMPLE_TXS[1])
+        back, report = DurableSystem.open(p)
+        assert report.clean and len(back.system.records) == 1
+        back.close()
+        ds.close()
+
+
 class FailingHandle:
     """The store's real handle, except that one write or flush fails once.
 
@@ -396,6 +478,19 @@ class TestFailedAppend:
         back.submit(SAMPLE_TXS[3])
         back.close()
         assert replay_verify(read_store(p, strict=True)) is None
+
+    def test_a_failure_after_recovering_a_torn_tail_cuts_back_to_the_clean_end(self, tmp_path):
+        p = str(tmp_path / "s.log")
+        acknowledged = build_store(p, SAMPLE_TXS[:2])
+        with open(p, "ab") as fh:
+            fh.write(b"999:aaaa")
+        ds, report = DurableSystem.open(p, sync="flush")
+        assert not report.clean
+        ds.store._fh = FailingHandle(ds.store._fh, "write")
+        with pytest.raises(OSError):
+            ds.submit(SAMPLE_TXS[2])
+        ds.close()
+        assert list(read_store(p, strict=True).records) == acknowledged
 
     def test_unsettled_frames_are_dropped_with_the_failure(self, tmp_path):
         p = str(tmp_path / "s.log")
@@ -624,6 +719,162 @@ class TestSharedBirths:
         assert report.clean and durable.system.records == live
         self.check_births(birth_programs(durable.system.kernel.entries))
         durable.close()
+
+
+def payloads_of(path, strict=False):
+    with open(path, "rb") as fh:
+        return scan_frames(fh.read(), strict).payloads
+
+
+def reference_read(path, strict=False):
+    """read_store the reference way: each payload parsed whole, then
+    decode_record of its value, with read_store's checks between records."""
+    payloads = payloads_of(path, strict)
+    records, k_len, last_birth = [], 0, [None, None]
+    for i, payload in enumerate(payloads[1:]):
+        try:
+            value = parse(payload.decode())
+        except ValueError as exc:
+            raise StoreCorruption(f"unreadable payload: {exc}", i + 1) from None
+        record = decode_record(value, i + 1, last_birth)
+        if record.seq != i:
+            raise StoreCorruption(f"record sequence {record.seq} where {i} expected", i + 1)
+        expected = k_len + len(record.entries)
+        if record.k_len_after != expected:
+            raise StoreCorruption(f"record {i} log length {record.k_len_after} != {expected}", i + 1)
+        k_len = record.k_len_after
+        records.append(record)
+    return records
+
+
+def shared_pattern(records):
+    """Each pair message of each row, as the index of the first row that
+    holds the same object: which rows share one program."""
+    first = {}
+    rows = [e for r in records for e in r.entries if is_pair(e.message)]
+    return [first.setdefault(id(e.message), n) for n, e in enumerate(rows)]
+
+
+def outcome_of(read):
+    """What a read gives: its records, or the reason and offset it raised."""
+    try:
+        return read()
+    except StoreCorruption as exc:
+        return (exc.reason, exc.offset)
+
+
+def reframe(path, seq, edit):
+    """Replace record seq's payload text by edit(text), framed with a valid crc."""
+    payloads = payloads_of(path)
+    payloads[seq + 1] = edit(payloads[seq + 1].decode()).encode()
+    with open(path, "wb") as fh:
+        for payload in payloads:
+            fh.write(encode_frame(payload))
+
+
+def pair_spans(text, start):
+    """(open, comma, close) of every bracketed pair in text from start on."""
+    spans, stack = [], []
+    for i in range(start, len(text)):
+        ch = text[i]
+        if ch == "[":
+            stack.append([i, None])
+        elif ch == "," and stack:
+            stack[-1][1] = stack[-1][1] or i
+        elif ch == "]" and stack:
+            open_, comma = stack.pop()
+            spans.append((open_, comma, i))
+    return spans
+
+
+P, Q = ECHO_PROGRAM, RELAY_PROGRAM
+BIRTH_RUNS = [creator(*[P] * 30), creator(P), creator(P, Q, P, Q), poke(14, (5, 6)), creator(Q)]
+
+
+class TestScannerDecode:
+    """read_store decodes the C scanner's lists; what it gives must be what
+    the reference decode gives: the same records, the same births shared,
+    and on damage the same reason at the same offset."""
+
+    def test_records_and_shared_births_match_the_reference(self, tmp_path):
+        pinned_stores(str(tmp_path))
+        births = tmp_path / "births.store"
+        build_store(births, BIRTH_RUNS)
+        paths = sorted(str(p) for p in tmp_path.glob("*.store"))
+        assert len(paths) == 17
+        for path in paths:
+            records = read_store(path, strict=True).records
+            reference = reference_read(path, strict=True)
+            assert list(records) == reference, path
+            assert shared_pattern(records) == shared_pattern(reference), path
+            programs = [b for r in records for b in birth_programs(r.entries)]
+            assert all((a is b) == equal(a, b) for a, b in zip(programs, programs[1:])), path
+        programs = [b for r in read_store(str(births)).records for b in birth_programs(r.entries)]
+        assert len(programs) == 36 and len({id(b) for b in programs}) == 4  # one per run
+
+    def test_a_run_of_equal_births_converts_its_first_program_only(self, tmp_path, monkeypatch):
+        p = tmp_path / "s.log"
+        build_store(p, BIRTH_RUNS)
+        converted, convert = [], durability._pairs
+
+        def counted(x, keep=False):
+            value = convert(x, keep)
+            if equal(value, P) or equal(value, Q):
+                converted.append(value)
+            return value
+
+        monkeypatch.setattr(durability, "_pairs", counted)
+        births = [b for r in read_store(str(p)).records for b in birth_programs(r.entries)]
+        assert len(births) == 36
+        assert [dumps(v) for v in converted] == [dumps(v) for v in (P, Q, P, Q)]
+
+    @pytest.mark.parametrize("seq", [0, 3, 4])
+    def test_damaged_lists_report_what_the_reference_reports(self, tmp_path, seq):
+        p = tmp_path / "s.log"
+        build_store(p, SAMPLE_TXS)
+        text = payloads_of(p)[seq + 1].decode()
+        tail_start = len(dumps(chain([seq, SAMPLE_TXS[seq]]))) - 3  # [seq,[tx,| [tagged,..]
+        assert text[tail_start - 1 : tail_start + 3] == ",[[1"
+        spans = pair_spans(text, tail_start)
+        assert len(spans) >= 8
+        damaged = p.with_name("damaged.log")
+        for open_, comma, close in spans:
+            head, tail = text[open_ + 1 : comma], text[comma + 1 : close]
+            for pair_text in ["[]", f"[{head}]", f"[{head},{tail},0]", "0", "7"]:
+                damaged.write_bytes(p.read_bytes())
+                reframe(damaged, seq, lambda t: t[:open_] + pair_text + t[close + 1 :])
+                for strict in (False, True):
+                    want = outcome_of(lambda: reference_read(str(damaged), strict))
+                    got = outcome_of(lambda: list(read_store(str(damaged), strict).records))
+                    assert got == want, (pair_text, open_, strict)
+                    if isinstance(want, list):
+                        assert shared_pattern(got) == shared_pattern(want)
+                opened = outcome_of(lambda: Store.open(str(damaged), sync="none")[0])
+                if isinstance(opened, Store):
+                    opened.close()
+                    opened = list(opened.records)
+                assert opened == want, (pair_text, open_)
+
+    @pytest.mark.parametrize("fallback", ["whitespace", "deep"])
+    def test_births_share_across_a_payload_read_the_reference_way(self, tmp_path, fallback):
+        deep = P
+        for i in range(2 * sys.getrecursionlimit() + 10):
+            deep = (i % 7, deep)
+        p = tmp_path / "s.log"
+        middle = creator(P, P) if fallback == "whitespace" else creator(deep, deep)
+        build_store(p, [creator(P, P), creator(P), middle, creator(P, P), creator(Q, P)])
+        if fallback == "whitespace":
+            reframe(p, 2, lambda t: "[ " + t[1:])
+        payloads = payloads_of(p)
+        assert scan_split(payloads[3].decode()) is None
+        assert all(scan_split(q.decode()) is not None for q in payloads[1:3] + payloads[4:])
+        records = read_store(str(p), strict=True).records
+        reference = reference_read(str(p), strict=True)
+        assert list(records) == reference
+        assert shared_pattern(records) == shared_pattern(reference)
+        births = [b for r in records for b in birth_programs(r.entries)]
+        assert all((a is b) == equal(a, b) for a, b in zip(births, births[1:]))
+        assert len({id(b) for b in births}) == (3 if fallback == "whitespace" else 5)
 
 
 class TestNonValues:

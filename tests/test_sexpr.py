@@ -22,9 +22,9 @@ from sendkernel.sexpr import (
     nodes_are_pairs,
     pair,
     parse,
-    parse_split,
+    scan_split,
 )
-from sendkernel.sexpr import _dumps_walk, _parse_walk
+from sendkernel.sexpr import _dumps_walk, _pairs, _parse_walk
 
 
 def sexprs(max_leaves=40):
@@ -92,6 +92,15 @@ class TestEqual:
             a, b = (i, a), (i, b)
         assert not equal(a, b) and not equal((a, 0), (b, 0))
         assert equal((a, 0), (a, 0))
+
+    def test_deep_lists_of_other_lengths_differ(self):
+        # A store reader compares the scanner's lists; past the recursion
+        # limit the walk must still tell [x, 0, 9] from [x, 0].
+        a, b, c = [1, 2], [1, 2, 9], [1, 2]
+        for i in range(50_000):
+            a, b, c = [i, a], [i, b], [i, c]
+        assert not equal(a, b) and not equal(b, a)
+        assert equal(a, c)
 
 
 class TestCanonicalText:
@@ -336,18 +345,33 @@ class TestDumpsAgainstJson:
             assert dumps(x) == json_text(x)
 
 
+def split_values(text):
+    """scan_split's reading of text with a and c turned into pairs, as a
+    store reader turns what it keeps; None where either refuses."""
+    split = scan_split(text)
+    if split is None:
+        return None
+    a, (b_text, c) = split
+    try:
+        return (_pairs(a), (b_text, _pairs(c)))
+    except ValueError:
+        return None
+
+
 class TestParseSplit:
-    """parse_split leaves the b of [a,[b,c]] as text, checked as parse checks it."""
+    """scan_split, the splitter a store reader parses records with, leaves
+    the b of [a,[b,c]] as text, checked as parse checks it, and a and c as
+    the C scanner's lists."""
 
     @given(sexprs(), sexprs(), sexprs())
     def test_keeps_the_text_of_the_second_item(self, a, b, c):
-        assert parse_split(dumps((a, (b, c)))) == (a, (dumps(b), c))
+        assert split_values(dumps((a, (b, c)))) == (a, (dumps(b), c))
 
     @settings(max_examples=1000)
     @given(sexprs(), sexprs(), sexprs(), st.data())
     def test_agrees_with_parse_on_mutated_text(self, a, b, c, data):
         text = mutated(dumps((a, (b, c))), data)
-        split = parse_split(text)
+        split = split_values(text)
         if split is not None:
             head, (b_text, tail) = split
             assert parse(text) == (head, (parse(b_text), tail))
@@ -369,20 +393,37 @@ class TestParseSplit:
             "[1,[[2],5]]",
             "[1,[[],5]]",
             "[1,[01,5]]",  # a leading zero ends b early
-            "[1,[2,[3]]]",  # a list of one in c
-            "[[1],[2,3]]",
+            "[1,[2,[3]]]",  # a list of one in c: _pairs refuses it
+            "[[1],[2,3]]",  # and one in a
             "[1,[2,true]]",
             "[1,[-2,3]]",
         ],
     )
     def test_refuses_what_parse_must_handle(self, text):
-        assert parse_split(text) is None
+        assert split_values(text) is None
+
+    def test_leaves_the_lists_of_a_and_c_unchecked(self):
+        assert scan_split("[[1],[2,[3]]]") == ([1], ("2", [3]))
+        assert scan_split("[[1,2,3],[[4,5],[]]]") == ([1, 2, 3], ("[4,5]", []))
 
     def test_refuses_what_the_c_scanner_refuses(self):
         deep = nested(2 * sys.getrecursionlimit() + 10, left=False)
-        assert parse_split(dumps((1, (deep, 0)))) is None
-        assert parse_split(dumps((1, (0, deep)))) is None
-        assert parse_split(dumps((1, (LONG, 0)))) is None
+        assert scan_split(dumps((1, (deep, 0)))) is None
+        assert scan_split(dumps((1, (0, deep)))) is None
+        assert scan_split(dumps((1, (LONG, 0)))) is None
+
+
+class TestPairs:
+    @given(sexprs())
+    def test_keep_leaves_the_lists_as_the_scanner_built_them(self, x):
+        lists = json.loads(dumps(x))
+        assert _pairs(lists, keep=True) == x
+        assert lists == json.loads(dumps(x))
+        assert _pairs(lists) == x
+
+    @pytest.mark.parametrize("x", [7, (1, 2), ((1, 2), 3)])
+    def test_ints_and_pairs_come_back_as_they_are(self, x):
+        assert _pairs(x) is x
 
 
 class TestCanonicalAlphabet:
