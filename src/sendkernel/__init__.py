@@ -25,7 +25,7 @@ from .dispatch import (
     alloc_sequential,
     make_hash_allocator,
 )
-from .interpreter import Budget, run
+from .interpreter import run
 from .txn import ExecResult, Kernel, KernelConfig, SystemState
 from .assembler import ABORT_PROGRAM, Const, ProgramBuilder, Slot, runnable
 from .durability import (
@@ -85,7 +85,6 @@ __all__ = [
     "builtin",
     "alloc_sequential",
     "make_hash_allocator",
-    "Budget",
     "run",
     "ExecResult",
     "Kernel",

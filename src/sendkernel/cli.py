@@ -35,9 +35,8 @@ from .durability import (
     replay_verify,
 )
 from .patterns import FIXTURES, FixtureMismatch
-from .scheduler import run_concurrent
 from .sexpr import ParseError, SExpr, dumps, is_pair, parse
-from .state import ABORT, StateView, TxResult
+from .state import ABORT, StateView
 from .txn import DEFAULT_STEP_BUDGET, KernelConfig
 
 __all__ = ["main", "EXIT_OK", "EXIT_MISMATCH", "EXIT_USAGE"]
@@ -57,25 +56,17 @@ class AdmissionError(ValueError):
         self.reason = reason
 
 
-def _tagged(result: TxResult) -> str:
-    return "0" if result is ABORT else dumps((1, result))
-
-
-def _result_cells(seq: int, result: TxResult) -> tuple[str, str, str]:
-    if result is ABORT:
-        return (str(seq), "ABORT", "-")
-    return (str(seq), "COMMIT", dumps(result))
-
-
-def _print_results(rows, fmt: str, out) -> None:
+def _print_results(rows, fmt: str) -> None:
     if fmt == "lines":
         for _, result in rows:
-            print(_tagged(result), file=out)
+            print("0" if result is ABORT else dumps((1, result)))
         return
-    print(f"{'tx':>4}  {'status':<6}  result", file=out)
+    print(f"{'tx':>4}  {'status':<6}  result")
     for seq, result in rows:
-        s, status, text = _result_cells(seq, result)
-        print(f"{s:>4}  {status:<6}  {text}", file=out)
+        if result is ABORT:
+            print(f"{seq:>4}  ABORT   -")
+        else:
+            print(f"{seq:>4}  COMMIT  {dumps(result)}")
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
@@ -110,7 +101,7 @@ def _open_or_create(args) -> DurableSystem:
         config = KernelConfig(
             allocator=args.allocator or "seq",
             salt=args.salt if args.salt is not None else 0,
-            step_budget=args.budget or DEFAULT_STEP_BUDGET,
+            step_budget=args.budget if args.budget is not None else DEFAULT_STEP_BUDGET,
         )
         return DurableSystem.create(args.store, config)
     if not report.clean:
@@ -138,12 +129,8 @@ def cmd_exec(args) -> int:
     txs = load_transactions(args.txfile)
     durable = _open_or_create(args)
     try:
-        start = len(durable.system.records)
-        records = run_concurrent(
-            durable.kernel, durable.system, txs, args.workers, durable.store.append
-        ).records
-        rows = [(start + i, r.result) for i, r in enumerate(records)]
-        _print_results(rows, args.format, sys.stdout)
+        records = [durable.submit(tx) for tx in txs]
+        _print_results([(r.seq, r.result) for r in records], args.format)
     finally:
         durable.close()
     return EXIT_OK
@@ -197,17 +184,13 @@ def cmd_dump(args) -> int:
         _dump_object(snapshot, args.object, args.format)
         return EXIT_OK
     rows = [(record.seq, record.result) for record in snapshot.records]
-    _print_results(rows, args.format, sys.stdout)
+    _print_results(rows, args.format)
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
-    trace = FIXTURES[args.fixture](workers=args.workers)
-    if args.format == "lines":
-        for row in trace.rows:
-            print(_tagged(row.result))
-    else:
-        print(trace.table())
+    records = FIXTURES[args.fixture]().system.records
+    _print_results([(r.seq, r.result) for r in records], args.format)
     return EXIT_OK
 
 
@@ -223,8 +206,9 @@ def _load_topology(path: str) -> list[dict]:
     if not isinstance(instances, list) or not instances:
         raise AdmissionError(path, 0, "topology needs a non-empty 'instances' list")
     for spot, inst in enumerate(instances):
-        if not isinstance(inst, dict) or not isinstance(inst.get("key"), int):
-            raise AdmissionError(path, 0, f"instance {spot} needs an integer 'key'")
+        key = inst.get("key") if isinstance(inst, dict) else None
+        if type(key) is not int or key < 0:
+            raise AdmissionError(path, 0, f"instance {spot} needs a natural 'key'")
     return instances
 
 
@@ -270,7 +254,7 @@ def cmd_compose(args) -> int:
             record = router.submit(key, tx)
             rows.append((seq, record.result))
             deliveries += router.pump(max_hops=args.max_hops).deliveries
-        _print_results(rows, args.format, sys.stdout)
+        _print_results(rows, args.format)
         print(f"delivered {deliveries}, dead letters {len(router.dead_letters)}")
         for letter in router.dead_letters:
             print(
@@ -309,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exec = commands.add_parser("exec", help="submit a transaction file to a store")
     p_exec.add_argument("txfile", help="one canonical [program, input] per line")
     _add_store_flags(p_exec, creation=True)
-    p_exec.add_argument("--workers", type=_positive_int, default=1)
     p_exec.add_argument("--format", choices=("table", "lines"), default="table")
     p_exec.set_defaults(func=cmd_exec)
 
@@ -329,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = commands.add_parser("demo", help="run a packaged scenario fixture")
     p_demo.add_argument("fixture", choices=sorted(FIXTURES))
-    p_demo.add_argument("--workers", type=_positive_int, default=1)
     p_demo.add_argument("--format", choices=("table", "lines"), default="table")
     p_demo.set_defaults(func=cmd_demo)
 
@@ -338,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = compose_commands.add_parser("run", help="route a scenario over a topology")
     p_run.add_argument("--topology", required=True, help="JSON instance list")
     p_run.add_argument("--scenario", required=True, help="lines of '<key> [p,i]'")
-    p_run.add_argument("--max-hops", type=int, default=10_000)
+    p_run.add_argument("--max-hops", type=_positive_int, default=10_000)
     p_run.add_argument("--format", choices=("table", "lines"), default="table")
     p_run.set_defaults(func=cmd_compose)
 

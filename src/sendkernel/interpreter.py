@@ -49,25 +49,7 @@ from .state import ABORT, Effects, ExternalSend, LogEntry, StateView, TxResult, 
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
-__all__ = ["Budget", "DEFAULT_STEP_BUDGET", "run"]
-
-
-class Budget:
-    """Per-transaction step allowance; one unit per interpreter case taken.
-
-    Exhaustion aborts the transaction deterministically: replay burns the
-    budget at exactly the same step.
-    """
-
-    __slots__ = ("start", "remaining")
-
-    def __init__(self, steps: int = DEFAULT_STEP_BUDGET) -> None:
-        self.start = steps
-        self.remaining = steps
-
-    @property
-    def spent(self) -> int:
-        return self.start - self.remaining
+__all__ = ["DEFAULT_STEP_BUDGET", "run"]
 
 
 class _LazyLog:
@@ -102,119 +84,119 @@ def run(
     instr: SExpr,
     view: StateView,
     effects: Effects,
-    budget: Budget,
+    budget: int,
     alloc_fn=alloc_sequential,
     builtin_fn=builtin,
-    tracer=None,
-) -> TxResult:
+) -> tuple[TxResult, int]:
     """Drive a context to completion; ABORT poisons every enclosing frame.
+
+    Returns (result, steps left of budget).  One step is charged per
+    interpreter case taken, so exhaustion aborts deterministically: replay
+    runs out at exactly the same step.
 
     The running frame is (ctx, ins, pending) in locals; frames holds the
     suspended ones.  A frame's pending entry, if any, is appended to the
     effects only once the frame returns: an object never sees its own
     in-flight message in its log, and inner entries land before outer
-    ones.  The step count lives in a local and is written back to the
-    budget on every exit.
+    ones.  The tracer, if any, is the view's.
     """
     frames: list = []
     ins = instr
     pending = None
     entries = effects.entries
-    remaining = budget.remaining
-    try:
-        while True:
-            if remaining <= 0:
-                return ABORT
-            remaining -= 1
+    tracer = view.tracer
+    remaining = budget
+    while True:
+        if remaining <= 0:
+            return ABORT, remaining
+        remaining -= 1
 
-            if isinstance(ins, int):
-                if ins == OP_FAIL:
-                    return ABORT
-                value = ctx[-1]
-                if pending is not None:
-                    entries.append(pending)
-                    if tracer is not None:
-                        tracer.on_append(pending, pending.caller)
-                if not frames:
-                    return value
-                ctx, ins, pending = frames.pop()
-                ctx.append(value)
-                continue
-
-            head, rest = ins
-
-            if head == OP_SEND:
-                if len(ctx) == 5 and type(ctx[3]) is _LazyLog:
-                    ctx[3] = ctx[3].force()  # ctx[-2] is L[3]: the log is the message
-                target = ctx[-1]
-                message = ctx[-2]
+        if isinstance(ins, int):
+            if ins == OP_FAIL:
+                return ABORT, remaining
+            value = ctx[-1]
+            if pending is not None:
+                entries.append(pending)
                 if tracer is not None:
-                    tracer.on_classify(target)
-                case = classify(target, view)
+                    tracer.on_append(pending, pending.caller)
+            if not frames:
+                return value, remaining
+            ctx, ins, pending = frames.pop()
+            ctx.append(value)
+            continue
+
+        head, rest = ins
+
+        if head == OP_SEND:
+            if len(ctx) == 5 and type(ctx[3]) is _LazyLog:
+                ctx[3] = ctx[3].force()  # ctx[-2] is L[3]: the log is the message
+            target = ctx[-1]
+            message = ctx[-2]
+            if tracer is not None:
+                tracer.on_classify(target)
+            case = classify(target, view)
+            if tracer is not None:
+                tracer.on_case(case, target)
+
+            if case is CASE_BUILTIN:
+                value = builtin_fn(target, message)
+                if value is None:
+                    return ABORT, remaining
+            elif case is CASE_PERSISTENT:
+                program = view.program_of(target)
                 if tracer is not None:
-                    tracer.on_case(case, target)
-
-                if case is CASE_BUILTIN:
-                    value = builtin_fn(target, message)
-                    if value is None:
-                        return ABORT
-                elif case is CASE_PERSISTENT:
-                    program = view.program_of(target)
-                    if view.tracer is not None:
-                        view.tracer.on_projection("log", target)
-                    frames.append((ctx, rest, pending))
-                    pending = LogEntry(target, ctx[2], message)
-                    ctx = [program, message, target, _LazyLog(view, target), ctx[2]]
-                    ins = program
-                    continue
-                elif case is CASE_PAIR_FORM:
-                    value = (target[1], message)
-                elif case is CASE_EPHEMERAL:
-                    frames.append((ctx, rest, pending))
-                    pending = None
-                    ctx = [target, message, ctx[2], ctx[3], ctx[4]]
-                    ins = target
-                    continue
-                elif case is CASE_KERNEL:
-                    sender = ctx[2]
-                    value = alloc_fn(view)
-                    creation = LogEntry(KERNEL, sender, value)
-                    birth = LogEntry(value, sender, message)
-                    entries.append(creation)
-                    entries.append(birth)
-                    if tracer is not None:
-                        tracer.on_append(creation, sender)
-                        tracer.on_append(birth, sender)
-                elif case is CASE_EXTERNAL:
-                    effects.externals.append(ExternalSend(ctx[2], target, message))
-                    value = EXTERNAL
-                else:
-                    return ABORT
-                ctx.append(value)
-                ins = rest
+                    tracer.on_projection("log", target)
+                frames.append((ctx, rest, pending))
+                pending = LogEntry(target, ctx[2], message)
+                ctx = [program, message, target, _LazyLog(view, target), ctx[2]]
+                ins = program
                 continue
-
-            if head == OP_RECALL:
-                if not isinstance(rest, tuple):
-                    return ABORT
-                j, ins = rest
-                if not isinstance(j, int) or j >= len(ctx):
-                    return ABORT
-                value = ctx[j]
-                if type(value) is _LazyLog:
-                    value = ctx[j] = value.force()
-                ctx.append(value)
+            elif case is CASE_PAIR_FORM:
+                value = (target[1], message)
+            elif case is CASE_EPHEMERAL:
+                frames.append((ctx, rest, pending))
+                pending = None
+                ctx = [target, message, ctx[2], ctx[3], ctx[4]]
+                ins = target
                 continue
-
-            if head == OP_QUOTE:
-                if not isinstance(rest, tuple):
-                    return ABORT
-                ctx.append(rest[0])
-                ins = rest[1]
-                continue
-
-            # Any other pair: push the head verbatim, continue with the tail.
-            ctx.append(head)
+            elif case is CASE_KERNEL:
+                sender = ctx[2]
+                value = alloc_fn(view)
+                creation = LogEntry(KERNEL, sender, value)
+                birth = LogEntry(value, sender, message)
+                entries.append(creation)
+                entries.append(birth)
+                if tracer is not None:
+                    tracer.on_append(creation, sender)
+                    tracer.on_append(birth, sender)
+            elif case is CASE_EXTERNAL:
+                effects.externals.append(ExternalSend(ctx[2], target, message))
+                value = EXTERNAL
+            else:
+                return ABORT, remaining
+            ctx.append(value)
             ins = rest
-    finally:
-        budget.remaining = remaining
+            continue
+
+        if head == OP_RECALL:
+            if not isinstance(rest, tuple):
+                return ABORT, remaining
+            j, ins = rest
+            if not isinstance(j, int) or j >= len(ctx):
+                return ABORT, remaining
+            value = ctx[j]
+            if type(value) is _LazyLog:
+                value = ctx[j] = value.force()
+            ctx.append(value)
+            continue
+
+        if head == OP_QUOTE:
+            if not isinstance(rest, tuple):
+                return ABORT, remaining
+            ctx.append(rest[0])
+            ins = rest[1]
+            continue
+
+        # Any other pair: push the head verbatim, continue with the tail.
+        ctx.append(head)
+        ins = rest

@@ -24,8 +24,8 @@ Conventions shared by the fixtures (the kernel imposes none of this):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from .assembler import (
     ABORT_PROGRAM,
@@ -39,10 +39,9 @@ from .assembler import (
     Slot,
     runnable,
 )
-from .scheduler import run_concurrent
 from .sexpr import SExpr, dumps, equal, is_atom, is_pair
 from .state import ABORT, StateView, TxRecord
-from .txn import Kernel, KernelConfig, SystemState
+from .txn import Kernel, SystemState
 
 __all__ = [
     "CHECKPOINT",
@@ -60,7 +59,6 @@ __all__ = [
     "KV_SET",
     "KV_GET",
     "FixtureMismatch",
-    "TraceRow",
     "FixtureTrace",
     "poke",
     "creator",
@@ -219,60 +217,28 @@ RELAY_PROGRAM = _relay_program()
 
 
 @dataclass
-class TraceRow:
-    seq: int
-    tx: SExpr
-    result: object  # SExpr or ABORT
-
-    @property
-    def committed(self) -> bool:
-        return self.result is not ABORT
-
-    def cells(self) -> tuple[str, str, str]:
-        status = "COMMIT" if self.committed else "ABORT"
-        text = dumps(self.result) if self.committed else "-"
-        return (str(self.seq), status, text)
-
-
-@dataclass
 class FixtureTrace:
+    """A fixture's name and the system it left; system.records is its trace."""
+
     name: str
-    rows: list[TraceRow] = field(default_factory=list)
-    system: SystemState = field(default_factory=SystemState.fresh)
-
-    def results(self) -> list:
-        return [r.result for r in self.rows]
-
-    def table(self) -> str:
-        lines = [f"{'tx':>3}  {'status':<6}  result"]
-        for row in self.rows:
-            seq, status, text = row.cells()
-            lines.append(f"{seq:>3}  {status:<6}  {text}")
-        return "\n".join(lines)
+    system: SystemState
 
 
 class _Runner:
-    """Submits fixture transactions through the scheduler's serial loop."""
+    """Submits fixture transactions one at a time through Kernel.submit."""
 
-    def __init__(self, workers: int = 1, config: Optional[KernelConfig] = None):
-        self.kernel = Kernel(config or KernelConfig())
+    def __init__(self) -> None:
+        self.kernel = Kernel()
         self.system = SystemState.fresh()
-        self.workers = workers
-        self.rows: list[TraceRow] = []
 
     def submit_all(self, txs: list[SExpr]) -> list[TxRecord]:
-        records = run_concurrent(self.kernel, self.system, txs, workers=self.workers).records
-        base = len(self.rows)
-        self.rows.extend(
-            TraceRow(base + i, tx, rec.result) for i, (tx, rec) in enumerate(zip(txs, records))
-        )
-        return records
+        return [self.kernel.submit(self.system, tx) for tx in txs]
 
     def view(self) -> StateView:
         return StateView(self.system.kernel, self.system.k_len)
 
     def trace(self, name: str) -> FixtureTrace:
-        return FixtureTrace(name, self.rows, self.system)
+        return FixtureTrace(name, self.system)
 
 
 def _expect(condition: bool, what: str) -> None:
@@ -350,10 +316,10 @@ DELEGATION_RESULTS: list[SExpr] = [15, (14, 100), 16, (16, (42, 200)), 18, (17, 
 DELEGATION_ECHO_CALLERS = [14, 16, 17]
 
 
-def fixture_delegation(workers: int = 1) -> FixtureTrace:
-    runner = _Runner(workers)
+def fixture_delegation() -> FixtureTrace:
+    runner = _Runner()
     runner.submit_all(delegation_transactions())
-    for row, want in zip(runner.rows, DELEGATION_RESULTS):
+    for row, want in zip(runner.system.records, DELEGATION_RESULTS):
         _expect_value(f"delegation tx {row.seq}", row.result, want)
     callers = _callers_of(runner.view(), 15)[1:]  # skip the birth record
     _expect(
@@ -554,10 +520,10 @@ def auction_transactions() -> list[SExpr]:
 AUCTION_RESULTS: list[SExpr] = [16, 17, 0, 18, 0, 16]
 
 
-def fixture_auction(workers: int = 1) -> FixtureTrace:
-    runner = _Runner(workers)
+def fixture_auction() -> FixtureTrace:
+    runner = _Runner()
     runner.submit_all(auction_transactions())
-    for row, want in zip(runner.rows, AUCTION_RESULTS):
+    for row, want in zip(runner.system.records, AUCTION_RESULTS):
         _expect_value(f"auction tx {row.seq}", row.result, want)
     view = runner.view()
     b1_log, b2_log = view.log_of(17), view.log_of(18)
@@ -572,14 +538,14 @@ def fixture_auction(workers: int = 1) -> FixtureTrace:
     return runner.trace("auction")
 
 
-def fixture_auction_abort(workers: int = 1) -> FixtureTrace:
+def fixture_auction_abort() -> FixtureTrace:
     """One registrant never stores; the reveal collapses without a trace.
 
     The reveal of the empty bid object aborts (reading entry 2 of a
     two-entry log fails), and atomicity guarantees the partial answers
     gathered before the failure never reach any log.
     """
-    runner = _Runner(workers)
+    runner = _Runner()
     txs = auction_transactions()[:-1]
     del txs[4]  # drop the second STORE
     runner.submit_all(txs)
@@ -657,8 +623,8 @@ def escrow_setup() -> list[SExpr]:
     return [creator(RELAY_PROGRAM, RELAY_PROGRAM, _escrow_program(14, 15))]
 
 
-def fixture_escrow(workers: int = 1) -> FixtureTrace:
-    runner = _Runner(workers)
+def fixture_escrow() -> FixtureTrace:
+    runner = _Runner()
     runner.submit_all(escrow_setup())
 
     happy = runner.submit_all(
@@ -689,9 +655,9 @@ def fixture_escrow(workers: int = 1) -> FixtureTrace:
     return runner.trace("escrow")
 
 
-def fixture_escrow_wrong_phase(workers: int = 1) -> FixtureTrace:
+def fixture_escrow_wrong_phase() -> FixtureTrace:
     """Fresh escrow where the first deposit comes from the seller."""
-    runner = _Runner(workers)
+    runner = _Runner()
     runner.submit_all(escrow_setup())
     records = runner.submit_all([poke(15, (16, (DEPOSIT, 1)))])
     _expect(records[0].result is ABORT, "seller deposit in phase 0 must abort")
@@ -734,8 +700,8 @@ def _cloneable_program() -> SExpr:
 CLONEABLE_PROGRAM = _cloneable_program()
 
 
-def fixture_clone(workers: int = 1) -> FixtureTrace:
-    runner = _Runner(workers)
+def fixture_clone() -> FixtureTrace:
+    runner = _Runner()
     runner.submit_all([creator(CLONEABLE_PROGRAM)])
     records = runner.submit_all([poke(14, (CLONE, 0))])
     child = records[0].result
@@ -819,8 +785,8 @@ def _increment_code() -> SExpr:
     return b.halt()
 
 
-def fixture_bootloader(workers: int = 1) -> FixtureTrace:
-    runner = _Runner(workers)
+def fixture_bootloader() -> FixtureTrace:
+    runner = _Runner()
     runner.submit_all([creator(BOOTLOADER_PROGRAM)])
 
     empty = runner.submit_all([poke(14, 41)])
@@ -836,7 +802,7 @@ def fixture_bootloader(workers: int = 1) -> FixtureTrace:
     return runner.trace("bootloader")
 
 
-FIXTURES: dict[str, Callable[..., FixtureTrace]] = {
+FIXTURES: dict[str, Callable[[], FixtureTrace]] = {
     "delegation": fixture_delegation,
     "auction": fixture_auction,
     "auction-abort": fixture_auction_abort,

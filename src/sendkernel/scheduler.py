@@ -5,6 +5,11 @@ prefix, so fixing the order first and then executing each transaction
 against the prefix before it is all that serial equivalence needs; nothing
 is speculated.  Threads cannot overlap this work under the interpreter
 lock, so the batch runs on the calling thread.
+
+Nothing else in the package calls run_concurrent: the CLI and the fixtures
+admit through Kernel.submit.  It stays, with its unused workers argument,
+because perfbench's spread_create workload and acceptance criterion 8
+call it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .dispatch import EXTERNAL, alloc_sequential, builtin, make_hash_allocator
-from .interpreter import Budget, DEFAULT_STEP_BUDGET, run
+from .interpreter import DEFAULT_STEP_BUDGET, run
 from .sexpr import SExpr, is_pair
 from .state import (
     ABORT,
@@ -45,8 +45,10 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if self.allocator not in ALLOCATOR_KINDS:
             raise ValueError(f"unknown allocator {self.allocator!r}")
-        if self.step_budget <= 0:
-            raise ValueError("step budget must be positive")
+        for name, least in (("salt", 0), ("step_budget", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
 
 
 @dataclass(slots=True)
@@ -113,18 +115,17 @@ class Kernel:
         program to run and aborts.
         """
         effects = Effects()
-        budget = Budget(self.config.step_budget)
         view = StateView(kstate, k_len, effects.entries, tracer=self.tracer)
         if not is_pair(tx):
             return ExecResult(ABORT, [], [], 0)
         program, message = tx
         ctx = [program, message, EXTERNAL, 0, EXTERNAL]
-        result = run(
-            ctx, program, view, effects, budget, self.alloc_fn, self.builtin_fn, self.tracer
-        )
+        budget = self.config.step_budget
+        result, left = run(ctx, program, view, effects, budget, self.alloc_fn, self.builtin_fn)
+        steps = budget - left
         if result is ABORT:
-            return ExecResult(ABORT, [], [], budget.spent)
-        return ExecResult(result, effects.entries, effects.externals, budget.spent)
+            return ExecResult(ABORT, [], [], steps)
+        return ExecResult(result, effects.entries, effects.externals, steps)
 
     def apply(self, system: SystemState, tx: SExpr, outcome: ExecResult) -> TxRecord:
         """Fold an already-computed outcome into the system."""

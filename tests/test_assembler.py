@@ -230,13 +230,13 @@ class TestLooping:
     @pytest.mark.parametrize("limit", [0, 1, 25])
     def test_count_up_to_limit(self, limit):
         body = counting_loop_body(limit)
-        result, _, budget = run_top(body, (body, 0), budget=None)
+        result, _, _ = run_top(body, (body, 0))
         assert result == limit
 
     def test_loop_spends_budget_linearly(self):
         body = counting_loop_body(50)
-        _, _, b_small = run_top(body, (body, 0))
+        _, _, spent_small = run_top(body, (body, 0))
         body2 = counting_loop_body(100)
-        _, _, b_big = run_top(body2, (body2, 0))
-        spent_per_iter = (b_big.spent - b_small.spent) / 50
+        _, _, spent_big = run_top(body2, (body2, 0))
+        spent_per_iter = (spent_big - spent_small) / 50
         assert 10 <= spent_per_iter <= 60

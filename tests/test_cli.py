@@ -127,21 +127,6 @@ def test_exec_flags_ignored_after_creation(tmp_path, capsys):
     assert read_store(str(store)).config.allocator == "seq"
 
 
-def test_exec_workers_match_serial(tmp_path, capsys):
-    txs = delegation_transactions()
-    serial_store = tmp_path / "serial.store"
-    threaded_store = tmp_path / "threaded.store"
-    txfile = write_txfile(tmp_path / "txs", txs)
-    run_main(capsys, ["exec", txfile, "--store", str(serial_store)])
-    code, out, _ = run_main(
-        capsys, ["exec", txfile, "--store", str(threaded_store), "--workers", "4"]
-    )
-    assert code == EXIT_OK
-    a = read_store(str(serial_store))
-    b = read_store(str(threaded_store))
-    assert a.committed_state().canonical_lines() == b.committed_state().canonical_lines()
-
-
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_bad_worker_count_is_rejected_before_a_store_exists(tmp_path, capsys, workers):
     txfile = write_txfile(tmp_path / "txs", delegation_transactions())
@@ -151,6 +136,18 @@ def test_bad_worker_count_is_rejected_before_a_store_exists(tmp_path, capsys, wo
     assert "--workers" in err
     assert not store.exists()
     assert run_main(capsys, ["demo", "auction", "--workers", workers])[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flags", [["--allocator", "hash", "--salt", "-5"], ["--budget", "0"]]
+)
+def test_bad_store_parameters_are_refused_before_a_store_exists(tmp_path, capsys, flags):
+    txfile = write_txfile(tmp_path / "txs", delegation_transactions())
+    store = tmp_path / "s.store"
+    code, out, err = run_main(capsys, ["exec", txfile, "--store", str(store), *flags])
+    assert code == EXIT_USAGE, err
+    assert out == ""
+    assert not store.exists()
 
 
 def test_verify_honest_store(delegation_store, capsys):
@@ -271,23 +268,24 @@ def test_dump_lines_format(delegation_store, capsys):
 
 
 def test_demo_delegation_table(capsys):
+    # The demo table is exec's: the same header and column widths.
     code, out, _ = run_main(capsys, ["demo", "delegation"])
     assert code == EXIT_OK
-    rows = out.strip().splitlines()
-    assert len(rows) == 7
-    assert rows[-1].split()[-1] == "[17,300]"
+    assert out.splitlines() == [
+        "  tx  status  result",
+        "   0  COMMIT  15",
+        "   1  COMMIT  [14,100]",
+        "   2  COMMIT  16",
+        "   3  COMMIT  [16,[42,200]]",
+        "   4  COMMIT  18",
+        "   5  COMMIT  [17,300]",
+    ]
 
 
 def test_demo_auction_abort_has_one_abort_row(capsys):
     code, out, _ = run_main(capsys, ["demo", "auction-abort", "--format", "lines"])
     assert code == EXIT_OK
     assert out.splitlines().count("0") == 1
-
-
-def test_demo_workers(capsys):
-    serial = run_main(capsys, ["demo", "auction"])
-    threaded = run_main(capsys, ["demo", "auction", "--workers", "4"])
-    assert serial == threaded
 
 
 def test_demo_unknown_fixture_is_usage_error(capsys):
@@ -356,6 +354,43 @@ def test_compose_topology_validation(tmp_path, capsys):
         ["compose", "run", "--topology", str(topology), "--scenario", str(scenario)],
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"key": True},  # a bool would collide with key 1
+        {"key": -1},  # no scenario line can address it
+        {"key": 2, "salt": -3, "allocator": "hash"},
+        {"key": 2, "budget": "x"},
+    ],
+    ids=["bool-key", "negative-key", "negative-salt", "text-budget"],
+)
+def test_compose_refuses_bad_instances_before_a_store_exists(tmp_path, capsys, instance):
+    store = tmp_path / "inst.store"
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"instances": [dict(instance, store=str(store))]}))
+    scenario = tmp_path / "scenario"
+    scenario.write_text("")
+    code, _, err = run_main(
+        capsys,
+        ["compose", "run", "--topology", str(topology), "--scenario", str(scenario)],
+    )
+    assert code == EXIT_USAGE, err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("hops", ["0", "-1"])
+def test_compose_bad_hop_count_is_a_usage_error(tmp_path, capsys, hops):
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"instances": [{"key": 2}]}))
+    scenario = tmp_path / "scenario"
+    scenario.write_text(f"2 {dumps(creator((100, 0)))}\n")
+    argv = ["compose", "run", "--topology", str(topology), "--scenario", str(scenario)]
+    code, out, err = run_main(capsys, argv + ["--max-hops", hops])
+    assert code == EXIT_USAGE
+    assert "--max-hops" in err
+    assert out == ""
 
 
 def test_compose_durable_instances(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from sendkernel import interpreter, txn
 from sendkernel.assembler import SEED_MESSAGE, ProgramBuilder, Slot
-from sendkernel.interpreter import Budget, run
+from sendkernel.interpreter import DEFAULT_STEP_BUDGET, run
 from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.sexpr import equal
 from sendkernel.state import ABORT, Effects, KernelState, LogEntry, StateView, encode_log
@@ -72,15 +72,14 @@ def state_with(*objects, extra=()):
     return KernelState.from_entries(entries)
 
 
-def run_top(program, message, kstate=None, budget=None):
-    """Seed the standard top-level context and run."""
+def run_top(program, message, kstate=None, budget=DEFAULT_STEP_BUDGET):
+    """Seed the standard top-level context and run; returns the steps spent."""
     kstate = kstate or KernelState()
     effects = Effects()
     view = StateView(kstate, kstate.size, effects.entries)
-    budget = budget or Budget()
     ctx = [program, message, 1, 0, 1]
-    result = run(ctx, program, view, effects, budget)
-    return result, effects, budget
+    result, left = run(ctx, program, view, effects, budget)
+    return result, effects, budget - left
 
 
 class TestInstructionCases:
@@ -281,22 +280,22 @@ class TestViewDuringRun:
 
 class TestBudget:
     def test_counts_cases_exactly(self):
-        _, _, b = run_top((42, 0), 0)
-        assert b.spent == 2  # one push, one halt
+        _, _, spent = run_top((42, 0), 0)
+        assert spent == 2  # one push, one halt
 
     def test_exhaustion_aborts(self):
-        result, _, b = run_top((42, 0), 0, budget=Budget(1))
+        result, _, spent = run_top((42, 0), 0, budget=1)
         assert result is ABORT
-        assert b.spent == 1
-        assert run_top((42, 0), 0, budget=Budget(2))[0] == 42
+        assert spent == 1
+        assert run_top((42, 0), 0, budget=2)[0] == 42
 
     def test_infinite_loop_cut_deterministically(self):
         # Program sends its message to itself as ephemeral code, forever.
         looper = asm(("recall", 0), ("recall", 0), ("send",))
-        r1, _, b1 = run_top(looper, 0, budget=Budget(5000))
-        r2, _, b2 = run_top(looper, 0, budget=Budget(5000))
+        r1, _, spent1 = run_top(looper, 0, budget=5000)
+        r2, _, spent2 = run_top(looper, 0, budget=5000)
         assert r1 is ABORT and r2 is ABORT
-        assert b1.spent == b2.spent == 5000
+        assert spent1 == spent2 == 5000
 
     def test_nesting_bounded_by_budget_not_host_stack(self):
         depth = 4 * sys.getrecursionlimit()
@@ -506,9 +505,8 @@ class TestPinnedSteps:
     """Every ExecResult.steps of the fixture traffic and of each abort kind.
 
     Step counts are part of the semantics, so they are literals here.  The
-    budget Kernel.execute hands to run is read as run returns: whatever
-    the run loop keeps its count in, Budget.spent must equal the steps on
-    every exit.
+    (result, steps left) pair run returns is read as it returns: budget
+    minus steps left must equal ExecResult.steps on every exit.
     """
 
     FIXTURE_STEPS = [
@@ -525,12 +523,12 @@ class TestPinnedSteps:
     def steps(monkeypatch, kernel, txs):
         spent = []
 
-        def run_then_read_budget(ctx, instr, view, effects, budget, *rest):
-            result = run(ctx, instr, view, effects, budget, *rest)
-            spent.append(budget.spent)
-            return result
+        def run_then_read_steps(ctx, instr, view, effects, budget, *rest):
+            result, left = run(ctx, instr, view, effects, budget, *rest)
+            spent.append(budget - left)
+            return result, left
 
-        monkeypatch.setattr(txn, "run", run_then_read_budget)
+        monkeypatch.setattr(txn, "run", run_then_read_steps)
         system = SystemState.fresh()
         steps = []
         for tx in txs:

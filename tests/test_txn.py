@@ -16,6 +16,22 @@ def fresh():
     return Kernel(), SystemState.fresh()
 
 
+class TestKernelConfig:
+    @pytest.mark.parametrize("salt", [-1, True, 1.5, "x"])
+    def test_refuses_a_salt_that_is_not_a_natural(self, salt):
+        with pytest.raises(ValueError, match="salt"):
+            KernelConfig("hash", salt=salt)
+
+    @pytest.mark.parametrize("budget", [0, -1, True, 1.5, "x"])
+    def test_refuses_a_budget_that_is_not_positive(self, budget):
+        with pytest.raises(ValueError, match="step_budget"):
+            KernelConfig(step_budget=budget)
+
+    def test_accepts_the_least_values(self):
+        config = KernelConfig("hash", salt=0, step_budget=1)
+        assert (config.salt, config.step_budget) == (0, 1)
+
+
 class TestExecute:
     def test_trivial_commit(self):
         kernel, system = fresh()
