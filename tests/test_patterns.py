@@ -10,6 +10,7 @@ import random
 import pytest
 
 from sendkernel.assembler import Const, ProgramBuilder, Slot
+from sendkernel.cli import _print_results
 from sendkernel.patterns import (
     CHECKPOINT,
     CLONE,
@@ -73,6 +74,14 @@ def test_delegation_trace_shape():
     view = StateView(trace.system.kernel)
     callers = [c for c, _ in view.log_of(15)][1:]
     assert callers == [14, 16, 17]
+
+
+def test_delegation_table_renders(capsys):
+    trace = fixture_delegation()
+    _print_results([(r.seq, r.result) for r in trace.system.records], "table")
+    table = capsys.readouterr().out
+    assert "COMMIT" in table and "[17,300]" in table
+    assert len(table.splitlines()) == 7
 
 
 def test_auction_reveal_appends_reveal_entries():
