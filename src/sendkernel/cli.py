@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -194,7 +195,10 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _load_topology(path: str) -> list[dict]:
+def _load_topology(path: str) -> list[tuple[int, KernelConfig, Optional[str]]]:
+    """Each instance's (key, config, store path or None), every one checked
+    before any store is touched: a natural key of its own, a KernelConfig,
+    and a store that is a non-empty path no other instance names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -205,11 +209,27 @@ def _load_topology(path: str) -> list[dict]:
     instances = data.get("instances") if isinstance(data, dict) else None
     if not isinstance(instances, list) or not instances:
         raise AdmissionError(path, 0, "topology needs a non-empty 'instances' list")
+    checked, keys, stores = [], set(), set()
     for spot, inst in enumerate(instances):
         key = inst.get("key") if isinstance(inst, dict) else None
-        if type(key) is not int or key < 0:
-            raise AdmissionError(path, 0, f"instance {spot} needs a natural 'key'")
-    return instances
+        if type(key) is not int or key < 0 or key in keys:
+            raise AdmissionError(path, 0, f"instance {spot} needs a natural 'key' of its own")
+        keys.add(key)
+        store = inst.get("store")
+        if store is not None:
+            if not isinstance(store, str) or not store:
+                raise AdmissionError(path, 0, f"instance {spot} needs a non-empty 'store' path")
+            real = os.path.realpath(store)
+            if real in stores:
+                raise AdmissionError(path, 0, f"instance {spot} shares its store {store}")
+            stores.add(real)
+        config = KernelConfig(
+            allocator=inst.get("allocator", "seq"),
+            salt=inst.get("salt", 0),
+            step_budget=inst.get("budget", DEFAULT_STEP_BUDGET),
+        )
+        checked.append((key, config, store))
+    return checked
 
 
 def _load_scenario(path: str, known: set) -> list[tuple[int, SExpr]]:
@@ -227,27 +247,21 @@ def _load_scenario(path: str, known: set) -> list[tuple[int, SExpr]]:
 
 def cmd_compose(args) -> int:
     instances = _load_topology(args.topology)
+    scenario = _load_scenario(args.scenario, {key for key, _, _ in instances})
     router = Router()
     durables: list[DurableSystem] = []
     try:
-        for inst in instances:
-            config = KernelConfig(
-                allocator=inst.get("allocator", "seq"),
-                salt=inst.get("salt", 0),
-                step_budget=inst.get("budget", DEFAULT_STEP_BUDGET),
-            )
-            store_path = inst.get("store")
-            if store_path:
+        for key, config, store_path in instances:
+            if store_path is not None:
                 try:
                     durable, _ = DurableSystem.open(store_path)
                 except FileNotFoundError:
                     durable = DurableSystem.create(store_path, config)
                 durables.append(durable)
-                router.add_instance(inst["key"], durable=durable)
+                router.add_instance(key, durable=durable)
             else:
-                router.add_instance(inst["key"], config=config)
+                router.add_instance(key, config=config)
 
-        scenario = _load_scenario(args.scenario, set(router.instances))
         rows = []
         deliveries = 0
         for seq, (key, tx) in enumerate(scenario):

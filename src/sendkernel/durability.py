@@ -20,6 +20,11 @@ fields of a TxRecord, which is what a payload decodes to.  The arithmetic
 between those fields is checked on every open; full semantic verification
 (re-running each transaction and comparing) is replay_verify.
 
+The header frame holds the format version.  Store.create writes version 2,
+where a birth equal to the previous birth in the file is written as a
+reference (decode_record); a version-1 store writes every birth in full,
+and opens and appends as version 1.
+
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text: the text is parsed only
 when replay reads the record's tx.  The rest of the payload is decoded
@@ -27,8 +32,8 @@ from the C scanner's lists (sexpr.scan_split): decode_record reads the
 fields by unpacking and turns into pairs only the values the record keeps.
 A payload the scanner refuses, or whose lists decode_record refuses, is
 parsed whole and decoded again, so damage is reported as the parser and
-decode_record report it.  Decoded births share equal programs: a birth row
-whose program equals the previous birth program of the same read takes
+decode_record report it.  Decoded births share equal programs: a full birth
+row whose program equals the previous birth program of the same read takes
 that object, so the reopened state holds one program per run of equal
 births, as the live system does.  The comparison is made on the scanner's
 lists, before conversion, so a run of equal births converts one program.
@@ -82,7 +87,7 @@ __all__ = [
     "scan_frames",
 ]
 
-HEADER_VERSION = 1
+HEADER_VERSION = 2  # the format Store.create writes; version 1 still opens
 ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
 SYNC_POLICIES = ("fsync", "flush", "none")
@@ -203,7 +208,7 @@ def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
         raise StoreCorruption(f"unreadable payload: {exc}", offset_hint) from None
 
 
-def _decode_payload(payload: bytes, offset: int, last_birth: list) -> TxRecord:
+def _decode_payload(payload: bytes, offset: int, last_birth: list, version: int) -> TxRecord:
     """decode_record of a record payload read as the C scanner's lists.
 
     The transaction stays canonical text (sexpr.scan_split).  A payload the
@@ -218,10 +223,10 @@ def _decode_payload(payload: bytes, offset: int, last_birth: list) -> TxRecord:
         split = None
     if split is not None:
         try:
-            return decode_record(split, offset, last_birth)
+            return decode_record(split, offset, last_birth, version)
         except StoreCorruption:
             pass
-    return decode_record(_parse_payload(payload, offset), offset, last_birth)
+    return decode_record(_parse_payload(payload, offset), offset, last_birth, version)
 
 
 # header and record payloads -------------------------------------------------
@@ -236,7 +241,7 @@ def decode_header(x: SExpr) -> KernelConfig:
         version, alloc_code, salt, step_budget = unchain(x)
     except ValueError:
         raise StoreCorruption("malformed header", 0) from None
-    if version != HEADER_VERSION:
+    if version not in (1, HEADER_VERSION):
         raise StoreCorruption(f"unsupported store version {version}", 0)
     if alloc_code not in ALLOC_NAMES or not is_atom(salt) or not is_atom(step_budget):
         raise StoreCorruption("malformed header", 0)
@@ -246,18 +251,50 @@ def decode_header(x: SExpr) -> KernelConfig:
         raise StoreCorruption(f"malformed header: {exc}", 0) from None
 
 
-def encode_record(seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int) -> SExpr:
-    # chain() of the six fields, of the rows and of each row, written out
+def encode_record(
+    seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int, last_birth: Optional[list] = None
+) -> SExpr:
+    """chain() of the six fields, of the rows and of each row, written out.
+
+    last_birth, for a version-2 store, is [the last birth program written
+    or None]: a birth row whose program is or equals it is written as the
+    reference [ident,[caller,0]], and the list moves on to each birth.
+    """
     tagged = (1, outcome.result) if outcome.committed else 0
     delta = xi = 0
     for receiver, caller, message in reversed(outcome.entries):
+        if receiver == KERNEL_IDENTITY and last_birth is not None:  # a birth may follow
+            delta = _referring_delta(outcome.entries, last_birth)
+            break
         delta = ((receiver, (caller, (message, 0))), delta)
     for sender, target, message in reversed(outcome.externals):
         xi = ((sender, (target, (message, 0))), xi)
     return (seq, (tx, (tagged, (delta, (xi, (k_len_after, 0))))))
 
 
-def decode_record(x, offset: int, last_birth: Optional[list] = None) -> TxRecord:
+def _referring_delta(entries: list, last_birth: list) -> SExpr:
+    """encode_record's delta rows when each birth may refer to the one before."""
+    rows = []
+    program = last_birth[0]
+    created = None  # the identity the previous row created, if any
+    for receiver, caller, message in entries:
+        tail = (message, 0)
+        if receiver == created:
+            if message is program or equal(message, program):
+                tail = 0
+            program = message
+        rows.append((receiver, (caller, tail)))
+        created = message if receiver == KERNEL_IDENTITY else None
+    last_birth[0] = program
+    delta = 0
+    for row in reversed(rows):
+        delta = (row, delta)
+    return delta
+
+
+def decode_record(
+    x, offset: int, last_birth: Optional[list] = None, version: int = HEADER_VERSION
+) -> TxRecord:
     """The record a payload holds; StoreCorruption at offset if malformed.
 
     x is the payload's value, or sexpr.scan_split's reading of its text:
@@ -271,7 +308,10 @@ def decode_record(x, offset: int, last_birth: Optional[list] = None) -> TxRecord
     right after a creation row (0, c, ident) whose receiver is ident.
     Equal births decoded in a row share one program, the way the live
     system's creations share the object their transaction passed in, and
-    the collector walks it once (_shared_birth).
+    the collector walks it once (_shared_birth).  In a version-2 store a
+    birth row may be the reference [ident,[caller,0]]: it reads as the
+    previous birth's program, last_birth[0].  A full row always has three
+    fields, so no reference reads as a program.
     """
     if last_birth is None:
         last_birth = [None, None]
@@ -303,13 +343,25 @@ def decode_record(x, offset: int, last_birth: Optional[list] = None) -> TxRecord
     try:
         created = None  # the identity the previous row created, if any
         while delta.__class__ is not int:
-            (receiver, (caller, (message, end))), delta = delta
-            if end != 0 or not is_atom(receiver) or not is_atom(caller):
+            (receiver, (caller, tail)), delta = delta
+            if not is_atom(receiver) or not is_atom(caller):
                 raise ValueError
-            if receiver == created:
-                message = _shared_birth(message, last_birth)
-            elif message.__class__ is list:
-                message = _pairs(message)
+            if tail.__class__ is not int:
+                message, end = tail
+                if end != 0:
+                    raise ValueError
+                if receiver == created:
+                    message = _shared_birth(message, last_birth)
+                elif message.__class__ is list:
+                    message = _pairs(message)
+            elif tail != 0 or receiver != created:
+                raise ValueError
+            elif version == 1:
+                raise bad("birth reference in a version-1 store")
+            elif last_birth[0] is None:
+                raise bad("birth reference before any birth")
+            else:
+                message = last_birth[0]
             created = message if receiver == KERNEL_IDENTITY else None
             entries.append(LogEntry(receiver, caller, message))
         while xi.__class__ is not int:
@@ -414,19 +466,26 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
     A torn tail is reported, not read, unless strict makes it corruption.
     Every record's arithmetic is revalidated against its predecessor.
     """
+    return _read_store(path, strict)[0]
+
+
+def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list]]:
+    """read_store, and the births a Store of it starts from (see Store)."""
     with open(path, "rb") as fh:
         data = fh.read()
     scan = scan_frames(data, strict=strict)
     if not scan.payloads:
         raise StoreUninitialized(f"no complete header frame in {path}")
-    config = decode_header(_parse_payload(scan.payloads[0], 0))
+    header = _parse_payload(scan.payloads[0], 0)
+    config = decode_header(header)
+    version = header[0]
 
     records: list[TxRecord] = []
     k_len = 0
     last_birth = [None, None]
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = _decode_payload(payload, i + 1, last_birth)
+            record = _decode_payload(payload, i + 1, last_birth, version)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -439,7 +498,8 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
             k_len = record.k_len_after
             records.append(record)
     report = RecoveryReport(len(records), scan.torn_offset, len(data) - scan.clean_end)
-    return StoreSnapshot(config, tuple(records), report)
+    births = None if version == 1 else [last_birth[0]]
+    return StoreSnapshot(config, tuple(records), report), births
 
 
 def _take_writer_lock(handle, path: str) -> None:
@@ -470,6 +530,9 @@ class Store:
     group_size batches appends between durability points; close() always
     settles the tail.  A failed write, flush or fsync cuts the file back
     to its last settled frame and closes the store until it is reopened.
+
+    births is encode_record's last_birth, None for a version-1 store; it
+    advances only once a frame is written.
     """
 
     def __init__(
@@ -480,6 +543,7 @@ class Store:
         handle,
         sync: str,
         group_size: int,
+        births: Optional[list] = None,
     ):
         if sync not in SYNC_POLICIES:
             raise ValueError(f"unknown sync policy {sync!r}")
@@ -494,6 +558,7 @@ class Store:
         self._group_size = group_size
         self._pending_syncs = 0
         self._settled_end = handle.tell()  # end of the last frame settled
+        self._births = births
 
     @classmethod
     def create(
@@ -511,7 +576,7 @@ class Store:
         fh.write(encode_frame(dumps(encode_header(config)).encode("ascii")))
         fh.flush()
         os.fsync(fh.fileno())
-        return cls(path, config, [], fh, sync, group_size)
+        return cls(path, config, [], fh, sync, group_size, [None])
 
     @classmethod
     def open(
@@ -528,12 +593,14 @@ class Store:
         handle = open(os.open(path, os.O_WRONLY | os.O_APPEND), "ab")
         try:
             _take_writer_lock(handle, path)
-            snapshot = read_store(path, strict)
+            snapshot, births = _read_store(path, strict)
             report = snapshot.report
             if not report.clean:
                 handle.truncate(report.torn_offset)
                 handle.seek(0, os.SEEK_END)
-            store = cls(path, snapshot.config, list(snapshot.records), handle, sync, group_size)
+            store = cls(
+                path, snapshot.config, list(snapshot.records), handle, sync, group_size, births
+            )
         except BaseException:
             handle.close()
             raise
@@ -550,7 +617,8 @@ class Store:
         """
         if self._fh.closed:
             raise ValueError(f"store {self.path} is closed; reopen it to append")
-        text = dumps(encode_record(self._seq, tx, outcome, k_len_after))
+        births = None if self._births is None else list(self._births)
+        text = dumps(encode_record(self._seq, tx, outcome, k_len_after, births))
         if not in_canonical_alphabet(text) or not nodes_are_pairs(tx):
             raise ValueError(f"record {self._seq} holds a non-value; not written to {self.path}")
         payload = text.encode("ascii")
@@ -560,6 +628,7 @@ class Store:
             self._abandon()
             raise
         self._seq += 1
+        self._births = births
         self._pending_syncs += 1
         if self._pending_syncs >= self._group_size:
             self.settle()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from sendkernel.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from sendkernel.durability import DurableSystem, read_store
 from sendkernel.patterns import ECHO_PROGRAM, creator, delegation_transactions, poke
 from sendkernel.sexpr import dumps
+
+from test_durability import birth_references
 
 
 def outward_tx(instance_key, obj, message):
@@ -113,6 +116,16 @@ def test_exec_appends_across_runs(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.splitlines()[1].split()[0] == "2"  # sequence continues
     assert len(read_store(str(store)).records) == 6
+
+
+def test_exec_refers_to_equal_parsed_births(tmp_path, capsys):
+    # parse builds a separate program per copy, so only equality finds them
+    txfile = write_txfile(tmp_path / "txs", [creator(*[ECHO_PROGRAM] * 100)])
+    store = tmp_path / "k.store"
+    code, _, err = run_main(capsys, ["exec", txfile, "--store", str(store)])
+    assert code == EXIT_OK, err
+    assert birth_references(store) == 99
+    assert run_main(capsys, ["verify", "--store", str(store)])[0] == EXIT_OK
 
 
 def test_exec_flags_ignored_after_creation(tmp_path, capsys):
@@ -378,6 +391,38 @@ def test_compose_refuses_bad_instances_before_a_store_exists(tmp_path, capsys, i
     )
     assert code == EXIT_USAGE, err
     assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "instances, scenario_line",
+    [
+        ([{"key": 2, "store": "a.store"}, {"key": 2, "store": "b.store"}], ""),
+        ([{"key": 2, "store": "a.store"}, {"key": 3, "store": "b.store"}], "9 [1,2]\n"),
+        ([{"key": 2, "store": "a.store"}, {"key": 3, "store": 7}], ""),
+        ([{"key": 2, "store": "a.store"}, {"key": 3, "store": ""}], ""),
+        ([{"key": 2, "store": "a.store"}, {"key": 3, "store": "./a.store"}], ""),
+    ],
+    ids=["duplicate-key", "unknown-instance", "store-not-text", "empty-store", "shared-store"],
+)
+def test_compose_validates_every_input_before_a_store_exists(
+    tmp_path, capsys, instances, scenario_line
+):
+    instances = [
+        dict(inst, store=os.path.join(tmp_path, inst["store"]))
+        if isinstance(inst["store"], str) and inst["store"]
+        else inst
+        for inst in instances
+    ]
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"instances": instances}))
+    scenario = tmp_path / "scenario"
+    scenario.write_text(scenario_line)
+    code, _, err = run_main(
+        capsys,
+        ["compose", "run", "--topology", str(topology), "--scenario", str(scenario)],
+    )
+    assert code == EXIT_USAGE, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario", "topology.json"]
 
 
 @pytest.mark.parametrize("hops", ["0", "-1"])

@@ -12,9 +12,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sendkernel import ABORT, KernelConfig
 from sendkernel.durability import (
@@ -153,13 +156,14 @@ class TestHeaderCodec:
         assert decode_header(encode_header(config)) == config
 
     def test_frozen_shape(self):
-        assert encode_header(KernelConfig("seq", 0, 1000)) == (1, (0, (0, (1000, 0))))
+        assert encode_header(KernelConfig("seq", 0, 1000)) == (2, (0, (0, (1000, 0))))
+        assert decode_header((1, (0, (0, (1000, 0))))) == KernelConfig("seq", 0, 1000)
 
     @pytest.mark.parametrize(
         "bad",
         [
             0,
-            (2, (0, (0, (1000, 0)))),  # unknown version
+            (3, (0, (0, (1000, 0)))),  # unknown version
             (1, (9, (0, (1000, 0)))),  # unknown allocator
             (1, (0, ((1, 1), (1000, 0)))),  # salt not an atom
             (1, (0, (0, (0, 0)))),  # zero budget
@@ -709,9 +713,10 @@ class TestSharedBirths:
         snapshot = read_store(str(p), strict=True)
         records = snapshot.records
         assert len(records) == len(payloads) == len(live)
+        last_birth = [None, None]
         for i, (record, payload, twin) in enumerate(zip(records, payloads, live)):
             assert record == twin and twin == record
-            assert record == decode_record(parse(payload.decode()), i + 1)
+            assert record == decode_record(parse(payload.decode()), i + 1, last_birth)
         self.check_births([b for r in records for b in birth_programs(r.entries)])
         assert replay_verify(snapshot) is None
 
@@ -728,15 +733,17 @@ def payloads_of(path, strict=False):
 
 def reference_read(path, strict=False):
     """read_store the reference way: each payload parsed whole, then
-    decode_record of its value, with read_store's checks between records."""
+    decode_record of its value under the header's version, with
+    read_store's checks between records."""
     payloads = payloads_of(path, strict)
+    version = unchain(parse(payloads[0].decode()))[0]
     records, k_len, last_birth = [], 0, [None, None]
     for i, payload in enumerate(payloads[1:]):
         try:
             value = parse(payload.decode())
         except ValueError as exc:
             raise StoreCorruption(f"unreadable payload: {exc}", i + 1) from None
-        record = decode_record(value, i + 1, last_birth)
+        record = decode_record(value, i + 1, last_birth, version)
         if record.seq != i:
             raise StoreCorruption(f"record sequence {record.seq} where {i} expected", i + 1)
         expected = k_len + len(record.entries)
@@ -905,9 +912,10 @@ class TestNonValues:
 FIXTURE_NAMES = ["delegation", "auction", "escrow", "clone", "bootloader", "folds"]
 PINNED_CONFIGS = {"seq": KernelConfig(), "hash": KernelConfig("hash", salt=99)}
 
-# sha256 of each store pinned_stores writes, as the record codec wrote them
-# before encode_record, dumps and forwarding_tx lost their chain(), their
-# per-call C encoder and their ProgramBuilder: a byte moved moves a digest.
+# sha256 of each version-1 store pinned_stores writes, as the record codec
+# wrote them before encode_record, dumps and forwarding_tx lost their
+# chain(), their per-call C encoder and their ProgramBuilder, and before
+# version 2: a byte moved moves a digest.
 PINNED_DIGESTS = {
     "delegation_seq": "059f5340f21260cbfc5038fe3b835a39fa9daeac431f2ef7465bf6a353cf653b",
     "auction_seq": "ce908a4f454bf76dabc89bc99352a3c1602f8ba6edb3db7d1075fe50c682c659",
@@ -927,23 +935,56 @@ PINNED_DIGESTS = {
     "routed_peer_hash": "86aa86861fc30f3a6d35985fad91263a15c80f7716096217c1f0b2ac89fcc6f8",
 }
 
+# The same stores written as version 2 by Store.create: a birth row equal
+# to the previous birth is [ident,[caller,0]].
+PINNED_DIGESTS_V2 = {
+    "delegation_seq": "a3a0a84613636997ad1f2f466051f1aa10a957b5ef3118d8738d93cf88d51de4",
+    "auction_seq": "01a6af6fcf0435830cf0a5cbdb2b64c6e1a9e201931af6841c81c03157330820",
+    "escrow_seq": "faaabab47878f70f6c6d3a1452e1840576fd3f460d5a863b74cdf2e467105e84",
+    "clone_seq": "061c86876c057c948a90b11d856a9dd1e3c793156857dd4a0a8008abecb3d317",
+    "bootloader_seq": "7fdb0d10b74241155922c09949aa7a9efb1387c8ee600ea1a3f5890419789308",
+    "folds_seq": "064b742ed3922bb314a25f32289fc2883952d469dd8a8d349677d6c6cec9a11d",
+    "routed_origin_seq": "be2f14b80378bf24950bc9fc0d2a95a1cd7e7cbf5ffe1df836b2c9a3bded05f2",
+    "routed_peer_seq": "5fec9aa41f40cf897a038558edb2bc37d6852bfda710571a8624b3eda4fd0c1c",
+    "delegation_hash": "560df4317c3b72ad3135618628bcd0a69c080fb0d432302c5e94e1fa4dda88a6",
+    "auction_hash": "640df55905755875180930d96455c4585add56ce2189bf039d0bfa3d6fab1f46",
+    "escrow_hash": "4e3b51accdde5e43932830bcdb4501183c757f78e9cd164bfe8690b240c5b127",
+    "clone_hash": "f4ea39768baf791933e388c8d8fac8ade5aa1ac3275b6618a0e2c8c6ec442725",
+    "bootloader_hash": "ac71ce0ea2cb1be13286a7e98af6a1880c31b2c316db81fb9022f79d815157a1",
+    "folds_hash": "836146546c8d6b3b5f62f06d3c201bb8d08de727ff329ecc231527beeead2e05",
+    "routed_origin_hash": "d8fe1bb1692082090fcd8d76818084698e45777a86c7ae6f569dcfa130ac714c",
+    "routed_peer_hash": "f1b5925fc77d95719a971d23142e0077bfaee7b6811faadca594a50b18489ba5",
+}
+
 
 def sha256_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def pinned_stores(directory):
+def create_versioned(path, config, version):
+    """DurableSystem.create for version 2; for version 1, a version-1 header
+    frame written by hand and then opened, so that it appends as version 1."""
+    if version == 2:
+        return DurableSystem.create(path, config, sync="none")
+    with open(path, "xb") as fh:
+        fh.write(encode_frame(dumps((1, encode_header(config)[1])).encode()))
+    return DurableSystem.open(path, sync="none")[0]
+
+
+def pinned_stores(directory, version=2):
     """Write every fixture workload, and one routed origin/peer pair, under
     both allocators; return each store's sha256 by name."""
     digests = {}
     for allocator, config in PINNED_CONFIGS.items():
         for name, txs in zip(FIXTURE_NAMES, _fixture_workloads()):
             path = os.path.join(directory, f"{name}_{allocator}.store")
-            build_store(path, txs, config)
+            with create_versioned(path, config, version) as ds:
+                for tx in txs:
+                    ds.submit(tx)
             digests[f"{name}_{allocator}"] = sha256_of(path)
         paths = [os.path.join(directory, f"routed_{side}_{allocator}.store") for side in "op"]
-        origin, peer = [DurableSystem.create(p, config, sync="none") for p in paths]
+        origin, peer = [create_versioned(p, config, version) for p in paths]
         router = Router()
         router.add_instance(1, durable=origin)
         router.add_instance(2, durable=peer)
@@ -959,7 +1000,10 @@ def pinned_stores(directory):
 
 
 def test_store_bytes_are_pinned(tmp_path):
-    assert pinned_stores(str(tmp_path)) == PINNED_DIGESTS
+    for version, pinned in [(1, PINNED_DIGESTS), (2, PINNED_DIGESTS_V2)]:
+        directory = tmp_path / f"v{version}"
+        directory.mkdir()
+        assert pinned_stores(str(directory), version) == pinned
 
 
 class TestUnboundedValues:
@@ -1021,6 +1065,148 @@ class TestTruncationSweep:
             got = store.committed_state().canonical_lines()
             assert got == expected_lines[n], cut
             store.close()
+
+
+def birth_references(path):
+    """How many delta rows of the store's records are references
+    [ident,[caller,0]]: a full row's third field is a pair."""
+    rows = [row for q in payloads_of(path)[1:] for row in unchain(unchain(parse(q.decode()))[3])]
+    return sum(1 for row in rows if row[1][1] == 0)
+
+
+def write_frames(path, version, *payloads):
+    """A store of a default header frame of version and the given payloads."""
+    with open(path, "wb") as fh:
+        for payload in (dumps((version, encode_header(KernelConfig())[1])), *payloads):
+            fh.write(encode_frame(payload.encode()))
+
+
+R = (100, 0)  # a third program: answers 100
+
+
+class TestFormat2:
+    """A version-2 birth row whose program equals the previous birth's is
+    written [ident,[caller,0]] and read as that birth's program."""
+
+    def test_every_offset_recovers_a_prefix_that_appends(self, tmp_path):
+        p = tmp_path / "s.log"
+        build_store(p, [creator(P, P), creator(P), TX_ABORT, creator(Q)])
+        ds, _ = DurableSystem.open(str(p), sync="none")
+        with ds:  # the writer starts from the last birth it read, Q
+            for tx in [creator(Q, P), creator(P), poke(14, 5)]:
+                ds.submit(tx)
+        # births P P P Q | Q P P: all but the first P, the first Q and the
+        # second P refer, across records and across the reopen
+        assert birth_references(p) == 4
+        image = p.read_bytes()
+        live = read_store(str(p), strict=True).records
+        q = tmp_path / "cut.log"
+        for cut in range(image.index(b"\n") + 1, len(image) + 1):
+            q.write_bytes(image[:cut])
+            ds, _ = DurableSystem.open(str(q), sync="none")
+            n = len(ds.system.records)
+            with ds:
+                assert ds.system.records == list(live[:n]), cut
+                ds.submit(creator(P))
+            back = read_store(str(q), strict=True)
+            assert list(back.records[:n]) == list(live[:n]), cut
+            assert birth_programs(back.records[n].entries) == [P], cut
+            assert replay_verify(back) is None, cut
+
+    def test_a_refused_record_leaves_the_last_birth(self, tmp_path):
+        p = tmp_path / "s.log"
+        with DurableSystem.create(str(p), sync="none") as ds:
+            ds.submit(creator(P))
+            with pytest.raises(ValueError):
+                ds.submit((creator(Q)[0], True))  # a birth of Q in a refused record
+            ds.submit(creator(Q))
+        births = [b for r in read_store(str(p)).records for b in birth_programs(r.entries)]
+        assert births == [P, Q] and birth_references(p) == 0
+
+    # record 1 of each store; record 0 is a plain commit
+    REFERENCE_TO_P = chain([chain([0, 1, 14]), chain([14, 1, P]), chain([0, 1, 15]), (15, (1, 0))])
+
+    @pytest.mark.parametrize(
+        "version, delta, reason",
+        [
+            (1, REFERENCE_TO_P, "birth reference in a version-1 store"),
+            (2, chain([chain([0, 1, 14]), (14, (1, 0))]), "birth reference before any birth"),
+            (2, chain([chain([5, 1, 0]), (5, (1, 0))]), "malformed effect row"),
+            (2, chain([chain([0, 1, 14]), (15, (1, 0))]), "malformed effect row"),
+            (2, chain([chain([0, 1, 14]), chain([14, 1, 9]), (14, (1, 0))]), "malformed effect row"),
+            (2, chain([chain([0, 1, 14]), (14, (1, 5))]), "malformed effect row"),
+        ],
+        ids=[
+            "version-1",
+            "no-earlier-birth",
+            "after-a-row-to-5",
+            "other-receiver",
+            "after-a-birth",
+            "tail-not-0",
+        ],
+    )
+    def test_two_field_rows_outside_a_version_2_birth(self, tmp_path, version, delta, reason):
+        p = tmp_path / "s.log"
+        second = record(1, delta=delta, k_len_after=len(unchain(delta)))
+        write_frames(p, version, dumps(record(0)), dumps(second))
+        for read in (lambda: read_store(str(p)), lambda: reference_read(str(p))):
+            with pytest.raises(StoreCorruption) as info:
+                read()
+            assert (info.value.reason, info.value.offset) == (reason, 2)
+        with pytest.raises(StoreCorruption):
+            Store.open(str(p))
+
+    def test_a_reference_reads_as_the_previous_birth(self, tmp_path):
+        p = tmp_path / "s.log"
+        write_frames(p, 2, dumps(record(0, delta=self.REFERENCE_TO_P, k_len_after=4)))
+        for records in (read_store(str(p)).records, reference_read(str(p))):
+            (first, second) = birth_programs(records[0].entries)
+            assert first == P and second is first
+
+    CREATION = st.lists(st.tuples(st.sampled_from([P, Q, R]), st.booleans()), min_size=1, max_size=4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.one_of(CREATION, st.sampled_from(["abort", "reopen"])), max_size=10))
+    def test_round_trip(self, steps):
+        """Creations drawn from three programs, each either the shared object
+        or an equal parsed copy, with aborts and reopens between them."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "s.log")
+            ds, live = DurableSystem.create(path, sync="none"), []
+            for step in steps:
+                if step == "reopen":
+                    ds.close()
+                    ds, _ = DurableSystem.open(path, sync="none")
+                elif step == "abort":
+                    live.append(ds.submit(TX_ABORT))
+                else:
+                    copies = [parse(dumps(prog)) if copy else prog for prog, copy in step]
+                    live.append(ds.submit(creator(*copies)))
+            ds.close()
+            reopened, _ = DurableSystem.open(path, sync="none")
+            reopened.close()
+            assert reopened.system.records == live
+            assert replay_verify(read_store(path, strict=True)) is None
+            previous = None
+            for payload in payloads_of(path)[1:]:
+                rows = unchain(unchain(parse(payload.decode()))[3])
+                for before, after in zip(rows, rows[1:]):
+                    if before[0] == 0 and after[0] == before[1][1][0] and after[1][1] != 0:
+                        assert not equal(after[1][1][0], previous)  # a full birth
+                        previous = after[1][1][0]
+
+    def test_fixture_records_match_across_versions(self, tmp_path):
+        for name, txs in zip(FIXTURE_NAMES, _fixture_workloads()):
+            snapshots = []
+            for version in (1, 2):
+                path = str(tmp_path / f"{name}_{version}.store")
+                with create_versioned(path, KernelConfig(), version) as ds:
+                    live = [ds.submit(tx) for tx in txs]
+                snapshots.append(read_store(path, strict=True))
+            v1, v2 = snapshots
+            assert list(v1.records) == list(v2.records) == live, name
+            lines = v1.committed_state().canonical_lines()
+            assert v2.committed_state().canonical_lines() == lines, name
 
 
 class TestOneRecordList:
