@@ -20,10 +20,9 @@ fields of a TxRecord, which is what a payload decodes to.  The arithmetic
 between those fields is checked on every open; full semantic verification
 (re-running each transaction and comparing) is replay_verify.
 
-The header frame holds the format version.  Store.create writes version 2,
-where a birth equal to the previous birth in the file is written as a
-reference (decode_record); a version-1 store writes every birth in full,
-and opens and appends as version 1.
+The header frame holds the format version: Store.create writes version 2,
+which has birth references (decode_record); a version-1 store writes every
+birth in full, and opens and appends as version 1.
 
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text: the text is parsed only
@@ -257,8 +256,8 @@ def encode_record(
     """chain() of the six fields, of the rows and of each row, written out.
 
     last_birth, for a version-2 store, is [the last birth program written
-    or None]: a birth row whose program is or equals it is written as the
-    reference [ident,[caller,0]], and the list moves on to each birth.
+    or None]: a birth that is or equals it is written as a reference (see
+    decode_record), and the list moves on to each birth.
     """
     tagged = (1, outcome.result) if outcome.committed else 0
     delta = xi = 0
@@ -543,7 +542,7 @@ class Store:
         handle,
         sync: str,
         group_size: int,
-        births: Optional[list] = None,
+        births: Optional[list],
     ):
         if sync not in SYNC_POLICIES:
             raise ValueError(f"unknown sync policy {sync!r}")

@@ -263,8 +263,11 @@ class TestRecordCodec:
         assert (info.value.reason, info.value.offset) == (reason, 42)
 
 
-def build_store(path, txs, config=None, sync="none"):
-    ds = DurableSystem.create(str(path), config, sync=sync)
+def build_store(path, txs, config=None, sync="none", version=2):
+    if version == 2:
+        ds = DurableSystem.create(str(path), config, sync=sync)
+    else:
+        ds = create_versioned(str(path), config, version)
     records = [ds.submit(tx) for tx in txs]
     ds.close()
     return records
@@ -706,24 +709,26 @@ class TestSharedBirths:
         assert len({id(b) for b in births}) == 4  # one object per run of equal births
 
     def test_read_store_and_open_share_equal_births(self, tmp_path):
-        p = tmp_path / "s.log"
-        live = build_store(p, self.TXS)
-        with open(p, "rb") as fh:
-            payloads = scan_frames(fh.read()).payloads[1:]
-        snapshot = read_store(str(p), strict=True)
-        records = snapshot.records
-        assert len(records) == len(payloads) == len(live)
-        last_birth = [None, None]
-        for i, (record, payload, twin) in enumerate(zip(records, payloads, live)):
-            assert record == twin and twin == record
-            assert record == decode_record(parse(payload.decode()), i + 1, last_birth)
-        self.check_births([b for r in records for b in birth_programs(r.entries)])
-        assert replay_verify(snapshot) is None
+        for version in (1, 2):
+            p = tmp_path / f"v{version}.log"
+            live = build_store(p, self.TXS, version=version)
+            with open(p, "rb") as fh:
+                payloads = scan_frames(fh.read()).payloads[1:]
+            snapshot = read_store(str(p), strict=True)
+            records = snapshot.records
+            assert len(records) == len(payloads) == len(live)
+            last_birth = [None, None]
+            for i, (record, payload, twin) in enumerate(zip(records, payloads, live)):
+                assert record == twin and twin == record
+                decoded = decode_record(parse(payload.decode()), i + 1, last_birth, version)
+                assert record == decoded
+            self.check_births([b for r in records for b in birth_programs(r.entries)])
+            assert replay_verify(snapshot) is None
 
-        durable, report = DurableSystem.open(str(p))
-        assert report.clean and durable.system.records == live
-        self.check_births(birth_programs(durable.system.kernel.entries))
-        durable.close()
+            durable, report = DurableSystem.open(str(p))
+            assert report.clean and durable.system.records == live
+            self.check_births(birth_programs(durable.system.kernel.entries))
+            durable.close()
 
 
 def payloads_of(path, strict=False):
@@ -804,24 +809,26 @@ class TestScannerDecode:
     and on damage the same reason at the same offset."""
 
     def test_records_and_shared_births_match_the_reference(self, tmp_path):
-        pinned_stores(str(tmp_path))
-        births = tmp_path / "births.store"
-        build_store(births, BIRTH_RUNS)
-        paths = sorted(str(p) for p in tmp_path.glob("*.store"))
-        assert len(paths) == 17
-        for path in paths:
-            records = read_store(path, strict=True).records
-            reference = reference_read(path, strict=True)
-            assert list(records) == reference, path
-            assert shared_pattern(records) == shared_pattern(reference), path
+        for version in (1, 2):
+            directory = tmp_path / f"v{version}"
+            directory.mkdir()
+            pinned_stores(str(directory), version)
+            births = directory / "births.store"
+            build_store(births, BIRTH_RUNS, version=version)
+            paths = sorted(str(p) for p in directory.glob("*.store"))
+            assert len(paths) == 17
+            for path in paths:
+                records = read_store(path, strict=True).records
+                reference = reference_read(path, strict=True)
+                assert list(records) == reference, path
+                assert shared_pattern(records) == shared_pattern(reference), path
+                programs = [b for r in records for b in birth_programs(r.entries)]
+                assert all((a is b) == equal(a, b) for a, b in zip(programs, programs[1:])), path
+            records = read_store(str(births)).records
             programs = [b for r in records for b in birth_programs(r.entries)]
-            assert all((a is b) == equal(a, b) for a, b in zip(programs, programs[1:])), path
-        programs = [b for r in read_store(str(births)).records for b in birth_programs(r.entries)]
-        assert len(programs) == 36 and len({id(b) for b in programs}) == 4  # one per run
+            assert len(programs) == 36 and len({id(b) for b in programs}) == 4  # one per run
 
     def test_a_run_of_equal_births_converts_its_first_program_only(self, tmp_path, monkeypatch):
-        p = tmp_path / "s.log"
-        build_store(p, BIRTH_RUNS)
         converted, convert = [], durability._pairs
 
         def counted(x, keep=False):
@@ -831,9 +838,13 @@ class TestScannerDecode:
             return value
 
         monkeypatch.setattr(durability, "_pairs", counted)
-        births = [b for r in read_store(str(p)).records for b in birth_programs(r.entries)]
-        assert len(births) == 36
-        assert [dumps(v) for v in converted] == [dumps(v) for v in (P, Q, P, Q)]
+        for version in (1, 2):
+            p = tmp_path / f"v{version}.log"
+            build_store(p, BIRTH_RUNS, version=version)
+            converted.clear()
+            births = [b for r in read_store(str(p)).records for b in birth_programs(r.entries)]
+            assert len(births) == 36
+            assert [dumps(v) for v in converted] == [dumps(v) for v in (P, Q, P, Q)], version
 
     @pytest.mark.parametrize("seq", [0, 3, 4])
     def test_damaged_lists_report_what_the_reference_reports(self, tmp_path, seq):
@@ -867,21 +878,23 @@ class TestScannerDecode:
         deep = P
         for i in range(2 * sys.getrecursionlimit() + 10):
             deep = (i % 7, deep)
-        p = tmp_path / "s.log"
         middle = creator(P, P) if fallback == "whitespace" else creator(deep, deep)
-        build_store(p, [creator(P, P), creator(P), middle, creator(P, P), creator(Q, P)])
-        if fallback == "whitespace":
-            reframe(p, 2, lambda t: "[ " + t[1:])
-        payloads = payloads_of(p)
-        assert scan_split(payloads[3].decode()) is None
-        assert all(scan_split(q.decode()) is not None for q in payloads[1:3] + payloads[4:])
-        records = read_store(str(p), strict=True).records
-        reference = reference_read(str(p), strict=True)
-        assert list(records) == reference
-        assert shared_pattern(records) == shared_pattern(reference)
-        births = [b for r in records for b in birth_programs(r.entries)]
-        assert all((a is b) == equal(a, b) for a, b in zip(births, births[1:]))
-        assert len({id(b) for b in births}) == (3 if fallback == "whitespace" else 5)
+        for version in (1, 2):
+            p = tmp_path / f"v{version}.log"
+            txs = [creator(P, P), creator(P), middle, creator(P, P), creator(Q, P)]
+            build_store(p, txs, version=version)
+            if fallback == "whitespace":
+                reframe(p, 2, lambda t: "[ " + t[1:])
+            payloads = payloads_of(p)
+            assert scan_split(payloads[3].decode()) is None
+            assert all(scan_split(q.decode()) is not None for q in payloads[1:3] + payloads[4:])
+            records = read_store(str(p), strict=True).records
+            reference = reference_read(str(p), strict=True)
+            assert list(records) == reference
+            assert shared_pattern(records) == shared_pattern(reference)
+            births = [b for r in records for b in birth_programs(r.entries)]
+            assert all((a is b) == equal(a, b) for a, b in zip(births, births[1:]))
+            assert len({id(b) for b in births}) == (3 if fallback == "whitespace" else 5)
 
 
 class TestNonValues:
@@ -968,7 +981,7 @@ def create_versioned(path, config, version):
     if version == 2:
         return DurableSystem.create(path, config, sync="none")
     with open(path, "xb") as fh:
-        fh.write(encode_frame(dumps((1, encode_header(config)[1])).encode()))
+        fh.write(encode_frame(dumps((1, encode_header(config or KernelConfig())[1])).encode()))
     return DurableSystem.open(path, sync="none")[0]
 
 
