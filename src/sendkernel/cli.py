@@ -46,6 +46,11 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# A path naming no file a command can use is a usage error; a full disk is not.
+_PATH_ERRORS = (
+    FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError
+)
+
 
 class AdmissionError(ValueError):
     """A transaction or scenario file failed line-level admission."""
@@ -250,18 +255,26 @@ def cmd_compose(args) -> int:
     scenario = _load_scenario(args.scenario, {key for key, _, _ in instances})
     router = Router()
     durables: list[DurableSystem] = []
-    try:
+    created: list[str] = []
+    try:  # every store opens before any record is written
         for key, config, store_path in instances:
             if store_path is not None:
                 try:
                     durable, _ = DurableSystem.open(store_path)
                 except FileNotFoundError:
                     durable = DurableSystem.create(store_path, config)
+                    created.append(store_path)
                 durables.append(durable)
                 router.add_instance(key, durable=durable)
             else:
                 router.add_instance(key, config=config)
-
+    except BaseException:
+        for durable in durables:
+            durable.close()
+        for store_path in created:
+            os.remove(store_path)
+        raise
+    try:
         rows = []
         deliveries = 0
         for seq, (key, tx) in enumerate(scenario):
@@ -355,7 +368,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FixtureMismatch as e:
         print(f"fixture mismatch: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (FileNotFoundError, FileExistsError, StoreLocked, ValueError) as e:  # AdmissionError too
+    except (*_PATH_ERRORS, StoreLocked, ValueError) as e:  # AdmissionError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,9 +26,12 @@ birth in full, and opens and appends as version 1.
 
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text: the text is parsed only
-when replay reads the record's tx.  The rest of the payload is decoded
-from the C scanner's lists (sexpr.scan_split): decode_record reads the
-fields by unpacking and turns into pairs only the values the record keeps.
+when replay reads the record's tx.  A long text the read has checked is
+not checked again and its records share one str (sexpr.scan_split); replay
+parses it at most twice (replay_compare), as equal text is one immutable
+value.  The rest is decoded from the C scanner's lists: decode_record
+reads the fields by unpacking and turns into pairs only the values the
+record keeps.
 A payload the scanner refuses, or whose lists decode_record refuses, is
 parsed whole and decoded again, so damage is reported as the parser and
 decode_record report it.  Decoded births share equal programs: a full birth
@@ -53,6 +56,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .sexpr import (
+    _SHARED_TEXT,
     SExpr,
     _pairs,
     chain,
@@ -207,17 +211,20 @@ def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
         raise StoreCorruption(f"unreadable payload: {exc}", offset_hint) from None
 
 
-def _decode_payload(payload: bytes, offset: int, last_birth: list, version: int) -> TxRecord:
+def _decode_payload(
+    payload: bytes, offset: int, last_birth: list, version: int, checked: dict
+) -> TxRecord:
     """decode_record of a record payload read as the C scanner's lists.
 
-    The transaction stays canonical text (sexpr.scan_split).  A payload the
-    scanner refuses, or whose lists decode_record refuses, is decoded the
-    reference way: parsed whole, transaction and all, then decode_record of
-    its value.  So a damaged payload is reported exactly as _parse_payload
-    and decode_record report it.
+    The transaction stays canonical text (sexpr.scan_split, with the
+    read's table of checked texts).  A payload the scanner refuses, or
+    whose lists decode_record refuses, is decoded the reference way: parsed
+    whole, transaction and all, then decode_record of its value.  So a
+    damaged payload is reported exactly as _parse_payload and decode_record
+    report it.
     """
     try:
-        split = scan_split(payload.decode("ascii"))
+        split = scan_split(payload.decode("ascii"), checked)
     except UnicodeDecodeError:
         split = None
     if split is not None:
@@ -362,7 +369,7 @@ def decode_record(
             else:
                 message = last_birth[0]
             created = message if receiver == KERNEL_IDENTITY else None
-            entries.append(LogEntry(receiver, caller, message))
+            entries.append(tuple.__new__(LogEntry, (receiver, caller, message)))
         while xi.__class__ is not int:
             (sender, (target, (message, end))), xi = xi
             if end != 0 or not is_atom(sender):
@@ -482,9 +489,10 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list]]
     records: list[TxRecord] = []
     k_len = 0
     last_birth = [None, None]
+    checked: dict = {}
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = _decode_payload(payload, i + 1, last_birth, version)
+            record = _decode_payload(payload, i + 1, last_birth, version, checked)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -724,6 +732,9 @@ class Divergence:
         return f"record {self.seq} diverges on {self.field}"
 
 
+_SEEN_ONCE = object()
+
+
 def replay_compare(
     records: Sequence[TxRecord], kernel: Kernel
 ) -> tuple[SystemState, Optional[tuple[int, str]]]:
@@ -734,12 +745,28 @@ def replay_compare(
     record itself is applied once its outcome matches, so the system holds
     exactly the records replayed so far.  The loop runs with the collector
     paused (_collector_paused).
+
+    A transaction text of _SHARED_TEXT+ characters is parsed on its first
+    two sights, and the second value serves every later one: values are
+    immutable.  Keys are texts; hashing a deep value would recurse.
     """
     system = SystemState.fresh()
     state = system.kernel
+    parsed: dict = {}  # text -> its value, or _SEEN_ONCE after its first sight
     with _collector_paused():
         for record in records:
-            outcome = kernel.execute(state, state.size, record.tx)
+            tx = record._tx
+            if tx.__class__ is str and len(tx) >= _SHARED_TEXT:
+                value = parsed.get(tx)
+                if value is None:
+                    parsed[tx] = _SEEN_ONCE
+                    value = record.tx
+                elif value is _SEEN_ONCE:
+                    value = parsed[tx] = record.tx  # tx stays the key
+                tx = value
+            else:
+                tx = record.tx
+            outcome = kernel.execute(state, state.size, tx)
             if outcome.committed != record.committed or (
                 record.committed and not equal(outcome.result, record.result)
             ):

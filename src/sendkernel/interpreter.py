@@ -147,7 +147,7 @@ def run(
                 if tracer is not None:
                     tracer.on_projection("log", target)
                 frames.append((ctx, rest, pending))
-                pending = LogEntry(target, ctx[2], message)
+                pending = tuple.__new__(LogEntry, (target, ctx[2], message))
                 ctx = [program, message, target, _LazyLog(view, target), ctx[2]]
                 ins = program
                 continue
@@ -162,8 +162,8 @@ def run(
             elif case is CASE_KERNEL:
                 sender = ctx[2]
                 value = alloc_fn(view)
-                creation = LogEntry(KERNEL, sender, value)
-                birth = LogEntry(value, sender, message)
+                creation = tuple.__new__(LogEntry, (KERNEL, sender, value))
+                birth = tuple.__new__(LogEntry, (value, sender, message))
                 entries.append(creation)
                 entries.append(birth)
                 if tracer is not None:

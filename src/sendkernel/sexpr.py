@@ -20,6 +20,8 @@ pairs at all: it checks b's lists and hands back b's text, which a store
 reader keeps in place of a transaction until replay parses it, and it
 hands back a and c as the scanner's lists, which the store reader unpacks
 where it reads fields and turns into pairs only where it keeps a value.
+Given the reader's table of b texts already checked, it hands back the
+same str for a repeated long b without scanning or checking it again.
 
 Values nest far deeper than any recursion limit (logs are right-nested
 pair chains).  The C code guards its own recursion with the interpreter's
@@ -210,7 +212,10 @@ def parse(text: str) -> SExpr:
     return _parse_walk(text)
 
 
-def scan_split(text: str) -> Optional[tuple]:
+_SHARED_TEXT = 64  # the shortest text scan_split's table and replay's share
+
+
+def scan_split(text: str, checked: Optional[dict] = None) -> Optional[tuple]:
     """The C scanner's reading of a text [a,[b,c]] that leaves b as text:
     (a, (b_text, c)).
 
@@ -222,6 +227,12 @@ def scan_split(text: str) -> Optional[tuple]:
     itself: one with whitespace or of another shape, and any the C scanner
     refuses (malformed text, nesting past its limit, atoms past 4,300
     digits).
+
+    checked, one reader's table of the b texts of _SHARED_TEXT+ characters
+    that passed, by their first _SHARED_TEXT characters: a b that is one of
+    them, then a comma, is that same str, neither scanned nor checked again.
+    Exact, as a value's extent is fixed by its text: an array ends at its
+    matching bracket, an atom at its last digit (hence the comma).
     """
     if text[:1] != "[" or not in_canonical_alphabet(text):  # scans start past [0]
         return None
@@ -229,16 +240,27 @@ def scan_split(text: str) -> Optional[tuple]:
         a, i = _scan(text, 1)
         if text[i : i + 2] != ",[":
             return None
-        b, j = _scan(text, i + 2)
-        if text[j : j + 1] != ",":
-            return None
+        start = i + 2
+        b_text = checked.get(text[start : start + _SHARED_TEXT]) if checked else None
+        if b_text is not None:
+            j = start + len(b_text)
+            if not text.startswith(b_text, start) or text[j : j + 1] != ",":
+                b_text = None
+        if b_text is None:
+            b, j = _scan(text, start)
+            if text[j : j + 1] != ",":
+                return None
         c, k = _scan(text, j + 1)
         if text[k:] != "]]":
             return None
-        _lists(b)
+        if b_text is None:
+            _lists(b)
+            b_text = text[start:j]
+            if checked is not None and j - start >= _SHARED_TEXT:
+                checked[b_text[:_SHARED_TEXT]] = b_text
     except (StopIteration, RecursionError, ValueError):  # StopIteration: no value
         return None
-    return (a, (text[i + 2 : j], c))
+    return (a, (b_text, c))
 
 
 def _lists(x) -> list:

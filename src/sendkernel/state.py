@@ -61,6 +61,7 @@ TxResult = Union[SExpr, Abort]
 
 
 class LogEntry(NamedTuple):
+    # Hot paths build rows with tuple.__new__, skipping the Python __new__.
     receiver: int
     caller: int
     message: SExpr
@@ -116,7 +117,7 @@ class TxRecord:
     The transaction may be given as its value or as its canonical text
     (dumps of the value).  A record decoded from a store keeps the text,
     and `tx` parses it on every read: only replay needs the value, and it
-    then holds one transaction's value at a time.
+    holds one per long text it has seen twice (durability.replay_compare).
 
     Equality and repr fall back to explicit-stack walks on deep values,
     so records of any depth compare and print; records are unhashable,
@@ -187,13 +188,18 @@ class KernelState:
         return len(self.entries)
 
     def append_all(self, entries: Iterable[LogEntry]) -> None:
+        log, positions = self.entries, self._positions
         for e in entries:
-            if not isinstance(e, LogEntry):
+            if e.__class__ is not LogEntry:
                 e = LogEntry(*e)
-            pos = len(self.entries)
-            self.entries.append(e)
-            self._positions.setdefault(e.receiver, []).append(pos)
-            if e.receiver == KERNEL_IDENTITY and is_atom(e.message):
+            pos = len(log)
+            log.append(e)
+            receiver = e.receiver
+            at = positions.get(receiver)
+            if at is None:  # not [pos], which grows to 8 slots on its second row
+                at = positions[receiver] = []
+            at.append(pos)
+            if receiver == KERNEL_IDENTITY and is_atom(e.message):
                 self._created.setdefault(e.message, pos)
 
     def created_at(self, ident: int) -> Optional[int]:

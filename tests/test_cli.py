@@ -240,6 +240,19 @@ def test_a_store_held_by_a_writer_is_refused_but_readable(delegation_store, caps
     assert file_hash(store) == before
 
 
+@pytest.mark.parametrize("command", ["exec", "verify", "recover", "dump"])
+@pytest.mark.parametrize("place", ["directory", "under-a-file"])
+def test_a_store_path_that_cannot_be_a_file_is_a_usage_error(tmp_path, capsys, command, place):
+    txfile = write_txfile(tmp_path / "txs", [poke(14, 1)])
+    store = tmp_path / "d" if place == "directory" else tmp_path / "txs" / "k.store"
+    if place == "directory":
+        store.mkdir()
+    argv = [command, txfile] if command == "exec" else [command]
+    code, out, err = run_main(capsys, argv + ["--store", str(store)])
+    assert code == EXIT_USAGE, err
+    assert err.startswith("error: ") and out == ""
+
+
 def test_dump_object_log(delegation_store, capsys):
     store, _ = delegation_store
     code, out, _ = run_main(capsys, ["dump", "15", "--store", str(store)])
@@ -423,6 +436,55 @@ def test_compose_validates_every_input_before_a_store_exists(
     )
     assert code == EXIT_USAGE, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario", "topology.json"]
+
+
+def run_compose(tmp_path, capsys, instances):
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"instances": instances}))
+    scenario = tmp_path / "scenario"
+    scenario.write_text(f"{instances[0]['key']} {dumps(creator((100, 0)))}\n")
+    return run_main(
+        capsys,
+        ["compose", "run", "--topology", str(topology), "--scenario", str(scenario)],
+    )
+
+
+@pytest.mark.parametrize("later", ["nodir/b.store", "d", "txs/b.store"])
+def test_compose_removes_the_stores_it_created_when_a_later_store_fails(
+    tmp_path, capsys, later
+):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "txs").write_text("")
+    a = tmp_path / "a.store"
+    instances = [{"key": 2, "store": str(a)}, {"key": 3, "store": str(tmp_path / later)}]
+    code, out, err = run_compose(tmp_path, capsys, instances)
+    assert code == EXIT_USAGE, err
+    assert err.startswith("error: ") and out == ""
+    assert not a.exists()
+
+
+def test_compose_leaves_a_store_it_did_not_create_as_it_was(delegation_store, tmp_path, capsys):
+    store, _ = delegation_store
+    before = file_hash(store)
+    instances = [{"key": 2, "store": str(store)}, {"key": 3, "store": str(tmp_path / "no/b")}]
+    code, _, err = run_compose(tmp_path, capsys, instances)
+    assert code == EXIT_USAGE, err
+    assert file_hash(store) == before
+
+
+def test_compose_removes_its_stores_when_a_later_store_is_locked(
+    delegation_store, tmp_path, capsys
+):
+    locked, _ = delegation_store
+    holder, _ = DurableSystem.open(str(locked))
+    a = tmp_path / "a.store"
+    try:
+        instances = [{"key": 2, "store": str(a)}, {"key": 3, "store": str(locked)}]
+        code, _, err = run_compose(tmp_path, capsys, instances)
+    finally:
+        holder.close()
+    assert code == EXIT_USAGE and "open for writing elsewhere" in err
+    assert not a.exists()
 
 
 @pytest.mark.parametrize("hops", ["0", "-1"])

@@ -43,8 +43,9 @@ from sendkernel.compose import Router, replicate
 from sendkernel.patterns import ECHO_PROGRAM, RELAY_PROGRAM, creator, poke
 from sendkernel.scheduler import run_concurrent
 from sendkernel import durability
-from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, scan_split, unchain
+from sendkernel.sexpr import _SHARED_TEXT, chain, dumps, equal, is_pair, parse, scan_split, unchain
 from sendkernel.txn import ExecResult, Kernel
+from sendkernel import state
 from sendkernel.state import ExternalSend, LogEntry
 
 from test_acceptance import _fixture_workloads
@@ -895,6 +896,128 @@ class TestScannerDecode:
             births = [b for r in records for b in birth_programs(r.entries)]
             assert all((a is b) == equal(a, b) for a, b in zip(births, births[1:]))
             assert len({id(b) for b in births}) == (3 if fallback == "whitespace" else 5)
+
+
+LONG_TX = creator(*[P] * 5)
+PREFIX_TX = poke(14, chain(range(30)))
+PREFIX_TX_2 = poke(14, chain([*range(29), 99]))  # PREFIX_TX's first _SHARED_TEXT characters
+SHORT_TX = poke(14, 1)
+ATOM_TX = 10**70  # no pair: it aborts
+REPEATS = [LONG_TX, SHORT_TX, LONG_TX, PREFIX_TX, LONG_TX, TX_ABORT, PREFIX_TX_2, LONG_TX]
+
+
+def counted_parses(monkeypatch):
+    """Count replay's parses of transaction texts, by text."""
+    counts, parse_ = {}, state.parse
+
+    def counted(text):
+        counts[text] = counts.get(text, 0) + 1
+        return parse_(text)
+
+    monkeypatch.setattr(state, "parse", counted)
+    return counts
+
+
+class TestRepeatedTransactions:
+    """A store read checks each repeated long transaction text once and
+    keeps one str of it; a replay parses it at most twice.  Neither changes
+    a record, a divergence or a reason."""
+
+    def test_the_transactions_set_up_each_case(self):
+        texts = [dumps(tx) for tx in (LONG_TX, PREFIX_TX, PREFIX_TX_2, ATOM_TX, SHORT_TX)]
+        assert min(map(len, texts[:4])) >= _SHARED_TEXT > len(texts[4])
+        assert texts[1] != texts[2] and texts[1][:_SHARED_TEXT] == texts[2][:_SHARED_TEXT]
+
+    def test_repeated_long_transactions_share_one_str(self, tmp_path):
+        p = tmp_path / "s.log"
+        live = build_store(p, REPEATS)
+        records = read_store(str(p), strict=True).records
+        assert list(records) == reference_read(str(p), strict=True) == live
+        texts = [r._tx for r in records]
+        assert len({id(texts[i]) for i in (0, 2, 4, 7)}) == 1
+        assert [dumps(r.tx) for r in records] == [dumps(tx) for tx in REPEATS]
+
+    @pytest.mark.parametrize("edit", [None, lambda t: t.replace("[99,0]", "[99,0,0]", 1)])
+    def test_a_transaction_sharing_a_checked_prefix_is_rescanned(self, tmp_path, edit):
+        p = tmp_path / "s.log"
+        txs = [creator(P), PREFIX_TX, PREFIX_TX_2, PREFIX_TX]
+        build_store(p, txs)
+        if edit is not None:
+            reframe(p, 2, edit)  # a list of three in PREFIX_TX_2, past the shared prefix
+        want = outcome_of(lambda: reference_read(str(p)))
+        assert outcome_of(lambda: list(read_store(str(p)).records)) == want
+        if edit is None:
+            assert [r.tx for r in want] == txs and all(r.committed for r in want)
+        else:
+            assert want[0].startswith("unreadable payload: expected ']'") and want[1] == 3
+
+    def test_an_atom_one_digit_longer(self, tmp_path):
+        p = tmp_path / "s.log"
+        live = build_store(p, [ATOM_TX, ATOM_TX * 10 + 7, ATOM_TX])
+        records = read_store(str(p), strict=True).records
+        assert list(records) == live == reference_read(str(p), strict=True)
+        assert [r.tx for r in records] == [ATOM_TX, ATOM_TX * 10 + 7, ATOM_TX]
+        assert replay_verify(read_store(str(p))) is None
+
+    def test_replay_parses_a_long_text_at_most_twice(self, tmp_path, monkeypatch):
+        p = tmp_path / "s.log"
+        build_store(p, REPEATS + [SHORT_TX, LONG_TX])
+        snapshot = read_store(str(p))
+        counts = counted_parses(monkeypatch)
+        assert replay_verify(snapshot) is None
+        assert counts == {
+            dumps(LONG_TX): 2,  # of 5: parsed on first and second sight
+            dumps(SHORT_TX): 2,  # below the floor: parsed on every sight
+            dumps(TX_ABORT): 1,
+            dumps(PREFIX_TX): 1,
+            dumps(PREFIX_TX_2): 1,
+        }
+        counts.clear()
+        assert replicate(snapshot, n=2)[1] is None
+        assert counts[dumps(LONG_TX)] == 4  # twice for each replica
+
+    def test_divergences_are_unchanged(self, tmp_path):
+        p = tmp_path / "s.log"
+        build_store(p, REPEATS)
+
+        def corrupt_message(rec):
+            seq, tx, tagged, delta, xi, k_len = unchain(rec)
+            rows = unchain(delta)
+            r, c, m = unchain(rows[0])
+            rows[0] = chain([r, c + 1, m])
+            return chain([seq, tx, tagged, chain(rows), xi, k_len])
+
+        def corrupt_result(rec):
+            seq, tx, tagged, delta, xi, k_len = unchain(rec)
+            return chain([seq, tx, (1, (tagged[1], 0)), delta, xi, k_len])
+
+        for seq, corrupt, field in [(4, corrupt_message, "delta"), (7, corrupt_result, "result")]:
+            q = tmp_path / f"{field}.log"
+            q.write_bytes(p.read_bytes())
+            rewrite_record(str(q), seq, corrupt)
+            assert replay_verify(read_store(str(q))) == Divergence(seq, field)
+        div = replay_verify(read_store(str(p)), Kernel(KernelConfig("hash", salt=1)))
+        assert div is not None and div.seq == 0
+
+    POOL = [LONG_TX, creator(Q, Q), SHORT_TX, PREFIX_TX, PREFIX_TX_2, ATOM_TX, ATOM_TX * 10 + 7]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(POOL), st.just("reopen")), max_size=12))
+    def test_round_trip(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "s.log")
+            ds, live = DurableSystem.create(path, sync="none"), []
+            for step in steps:
+                if step == "reopen":
+                    ds.close()
+                    ds, _ = DurableSystem.open(path, sync="none")
+                else:
+                    live.append(ds.submit(step))
+            ds.close()
+            reopened, _ = DurableSystem.open(path, sync="none")
+            reopened.close()
+            assert reopened.system.records == live
+            assert replay_verify(read_store(path, strict=True)) is None
 
 
 class TestNonValues:
