@@ -256,11 +256,11 @@ def cmd_compose(args) -> int:
     router = Router()
     durables: list[DurableSystem] = []
     created: list[str] = []
-    try:  # every store opens before any record is written
+    try:  # every store opens before any is changed
         for key, config, store_path in instances:
             if store_path is not None:
                 try:
-                    durable, _ = DurableSystem.open(store_path)
+                    durable, _ = DurableSystem.open(store_path, cut=False)
                 except FileNotFoundError:
                     durable = DurableSystem.create(store_path, config)
                     created.append(store_path)
@@ -268,6 +268,8 @@ def cmd_compose(args) -> int:
                 router.add_instance(key, durable=durable)
             else:
                 router.add_instance(key, config=config)
+        for durable in durables:
+            durable.store.cut_torn_tail()
     except BaseException:
         for durable in durables:
             durable.close()

@@ -20,9 +20,10 @@ fields of a TxRecord, which is what a payload decodes to.  The arithmetic
 between those fields is checked on every open; full semantic verification
 (re-running each transaction and comparing) is replay_verify.
 
-The header frame holds the format version: Store.create writes version 2,
-which has birth references (decode_record); a version-1 store writes every
-birth in full, and opens and appends as version 1.
+The header frame holds the format version: Store.create writes version 3,
+which has birth and transaction references.  A version-2 store has birth
+references only, a version-1 store neither, and each opens and appends as
+its own version.  decode_record's docstring holds the rules of both.
 
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text: the text is parsed only
@@ -64,7 +65,7 @@ from .sexpr import (
     equal,
     in_canonical_alphabet,
     is_atom,
-    nodes_are_pairs,
+    pair_nodes,
     parse,
     scan_split,
     unchain,
@@ -90,7 +91,10 @@ __all__ = [
     "scan_frames",
 ]
 
-HEADER_VERSION = 2  # the format Store.create writes; version 1 still opens
+HEADER_VERSION = 3  # the format Store.create writes; versions 1 and 2 still open
+# The fewest pairs of a transaction Store.append may refer to: its text is then
+# 4 * 16 + 1 characters or more, and one of fewer pairs costs no extra dumps.
+_REPEAT_PAIRS = 16
 ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
 SYNC_POLICIES = ("fsync", "flush", "none")
@@ -212,7 +216,7 @@ def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
 
 
 def _decode_payload(
-    payload: bytes, offset: int, last_birth: list, version: int, checked: dict
+    payload: bytes, offset: int, last_birth: list, version: int, checked: dict, records: list
 ) -> TxRecord:
     """decode_record of a record payload read as the C scanner's lists.
 
@@ -229,10 +233,11 @@ def _decode_payload(
         split = None
     if split is not None:
         try:
-            return decode_record(split, offset, last_birth, version)
+            return decode_record(split, offset, last_birth, version, records=records)
         except StoreCorruption:
             pass
-    return decode_record(_parse_payload(payload, offset), offset, last_birth, version)
+    value = _parse_payload(payload, offset)
+    return decode_record(value, offset, last_birth, version, records=records)
 
 
 # header and record payloads -------------------------------------------------
@@ -247,7 +252,7 @@ def decode_header(x: SExpr) -> KernelConfig:
         version, alloc_code, salt, step_budget = unchain(x)
     except ValueError:
         raise StoreCorruption("malformed header", 0) from None
-    if version not in (1, HEADER_VERSION):
+    if version not in (1, 2, HEADER_VERSION):
         raise StoreCorruption(f"unsupported store version {version}", 0)
     if alloc_code not in ALLOC_NAMES or not is_atom(salt) or not is_atom(step_budget):
         raise StoreCorruption("malformed header", 0)
@@ -258,13 +263,19 @@ def decode_header(x: SExpr) -> KernelConfig:
 
 
 def encode_record(
-    seq: int, tx: SExpr, outcome: ExecResult, k_len_after: int, last_birth: Optional[list] = None
+    seq: int,
+    tx: SExpr,
+    outcome: ExecResult,
+    k_len_after: int,
+    last_birth: Optional[list] = None,
+    end: SExpr = 0,
 ) -> SExpr:
     """chain() of the six fields, of the rows and of each row, written out.
 
-    last_birth, for a version-2 store, is [the last birth program written
-    or None]: a birth that is or equals it is written as a reference (see
-    decode_record), and the list moves on to each birth.
+    last_birth, from version 2 on, is [the last birth program written or
+    None]: a birth that is or equals it is written as a reference (see
+    decode_record), and the list moves on to each birth.  end is 0, or
+    [ref,0] with tx 0 for a record that refers to record ref.
     """
     tagged = (1, outcome.result) if outcome.committed else 0
     delta = xi = 0
@@ -275,7 +286,7 @@ def encode_record(
         delta = ((receiver, (caller, (message, 0))), delta)
     for sender, target, message in reversed(outcome.externals):
         xi = ((sender, (target, (message, 0))), xi)
-    return (seq, (tx, (tagged, (delta, (xi, (k_len_after, 0))))))
+    return (seq, (tx, (tagged, (delta, (xi, (k_len_after, end))))))
 
 
 def _referring_delta(entries: list, last_birth: list) -> SExpr:
@@ -299,7 +310,11 @@ def _referring_delta(entries: list, last_birth: list) -> SExpr:
 
 
 def decode_record(
-    x, offset: int, last_birth: Optional[list] = None, version: int = HEADER_VERSION
+    x,
+    offset: int,
+    last_birth: Optional[list] = None,
+    version: int = HEADER_VERSION,
+    records: Optional[Sequence[TxRecord]] = None,
 ) -> TxRecord:
     """The record a payload holds; StoreCorruption at offset if malformed.
 
@@ -314,10 +329,20 @@ def decode_record(
     right after a creation row (0, c, ident) whose receiver is ident.
     Equal births decoded in a row share one program, the way the live
     system's creations share the object their transaction passed in, and
-    the collector walks it once (_shared_birth).  In a version-2 store a
+    the collector walks it once (_shared_birth).  From version 2 on, a
     birth row may be the reference [ident,[caller,0]]: it reads as the
     previous birth's program, last_birth[0].  A full row always has three
     fields, so no reference reads as a program.
+
+    records are the records read before this one (read_store's).  From
+    version 3 on, a record may end [k_len_after,[ref,0]] in place of
+    [k_len_after,0], with 0 in its transaction slot: its transaction is
+    record ref's, the same str.  ref must be an atom below seq and below
+    len(records); each other case has its own reason.  Without records, a
+    record is read alone, and such an end is a malformed record, as it is
+    a seventh field to a reader of version 2.  A reference is exact: it
+    names a transaction this read has checked, and it is written only where
+    the canonical texts are equal (Store.append).
     """
     if last_birth is None:
         last_birth = [None, None]
@@ -328,10 +353,25 @@ def decode_record(
     # Unpacking an atom where a pair belongs raises TypeError.
     try:
         seq, (tx, (tagged, (delta, (xi, (k_len_after, end))))) = x
+        ref = None
+        if end != 0:
+            ref, end = end
     except (TypeError, ValueError):
         raise bad("malformed record") from None
     if end != 0 or not is_atom(seq) or not is_atom(k_len_after):
         raise bad("malformed record")
+    if ref is not None:  # a transaction reference
+        if records is None:
+            raise bad("malformed record")
+        if version < 3:
+            raise bad(f"transaction reference in a version-{version} store")
+        if not is_atom(ref):
+            raise bad("malformed transaction reference")
+        if ref >= seq or ref >= len(records):
+            raise bad("transaction reference to no earlier record")
+        if tx != 0 and tx != "0":
+            raise bad("transaction beside a transaction reference")
+        tx = records[ref]._tx
 
     if tagged == 0:
         result = ABORT
@@ -475,8 +515,9 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
     return _read_store(path, strict)[0]
 
 
-def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list]]:
-    """read_store, and the births a Store of it starts from (see Store)."""
+def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list], Optional[tuple]]:
+    """read_store, and the births and repeat a Store of it starts from (see
+    Store)."""
     with open(path, "rb") as fh:
         data = fh.read()
     scan = scan_frames(data, strict=strict)
@@ -490,9 +531,10 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list]]
     k_len = 0
     last_birth = [None, None]
     checked: dict = {}
+    repeat = None if version < 3 else _NO_REPEAT
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = _decode_payload(payload, i + 1, last_birth, version, checked)
+            record = _decode_payload(payload, i + 1, last_birth, version, checked, records)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -504,9 +546,19 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list]]
                 )
             k_len = record.k_len_after
             records.append(record)
+            tx = record._tx
+            if repeat is not None and tx is not repeat[1]:  # as Store.append moves it on
+                text = tx if tx.__class__ is str else dumps(tx)
+                if len(text) > 4 * _REPEAT_PAIRS and text.count("[") >= _REPEAT_PAIRS:
+                    repeat = repeat if text == repeat[1] else (i, text, _UNCHECKED)
     report = RecoveryReport(len(records), scan.torn_offset, len(data) - scan.clean_end)
     births = None if version == 1 else [last_birth[0]]
-    return StoreSnapshot(config, tuple(records), report), births
+    return StoreSnapshot(config, tuple(records), report), births, repeat
+
+
+_UNCHECKED = object()  # a repeat's value when its text must be compared
+_NO_REPEAT = (None, None, _UNCHECKED)
+
 
 
 def _take_writer_lock(handle, path: str) -> None:
@@ -538,8 +590,13 @@ class Store:
     settles the tail.  A failed write, flush or fsync cuts the file back
     to its last settled frame and closes the store until it is reopened.
 
-    births is encode_record's last_birth, None for a version-1 store; it
-    advances only once a frame is written.
+    births is encode_record's last_birth, None for a version-1 store.
+    repeat, None below version 3, is (seq, text, value) of the last
+    transaction of _REPEAT_PAIRS+ pairs written in full: one of that text is
+    written as a reference to record seq (decode_record).  It depends on the
+    transactions' texts alone, so open seeds it from the read.  value is
+    that transaction if it holds exact ints and tuples only, which cannot
+    change.  Both advance only once a frame is written.
     """
 
     def __init__(
@@ -551,6 +608,7 @@ class Store:
         sync: str,
         group_size: int,
         births: Optional[list],
+        repeat: Optional[tuple],
     ):
         if sync not in SYNC_POLICIES:
             raise ValueError(f"unknown sync policy {sync!r}")
@@ -565,7 +623,9 @@ class Store:
         self._group_size = group_size
         self._pending_syncs = 0
         self._settled_end = handle.tell()  # end of the last frame settled
+        self._torn: Optional[int] = None  # where a torn tail left by open starts
         self._births = births
+        self._repeat = repeat
 
     @classmethod
     def create(
@@ -583,7 +643,7 @@ class Store:
         fh.write(encode_frame(dumps(encode_header(config)).encode("ascii")))
         fh.flush()
         os.fsync(fh.fileno())
-        return cls(path, config, [], fh, sync, group_size, [None])
+        return cls(path, config, [], fh, sync, group_size, [None], _NO_REPEAT)
 
     @classmethod
     def open(
@@ -592,26 +652,35 @@ class Store:
         sync: str = "fsync",
         group_size: int = 1,
         strict: bool = False,
+        cut: bool = True,
     ) -> tuple["Store", RecoveryReport]:
         """Take the writer lock, read_store, then truncate a torn tail.
 
         Recovery needs no re-execution: the recorded deltas are the state.
+        With cut=False the torn tail stays until cut_torn_tail or the first
+        append, so that a caller opening several stores can leave every
+        file as it was if one of them fails to open.
         """
         handle = open(os.open(path, os.O_WRONLY | os.O_APPEND), "ab")
         try:
             _take_writer_lock(handle, path)
-            snapshot, births = _read_store(path, strict)
-            report = snapshot.report
-            if not report.clean:
-                handle.truncate(report.torn_offset)
-                handle.seek(0, os.SEEK_END)
-            store = cls(
-                path, snapshot.config, list(snapshot.records), handle, sync, group_size, births
-            )
+            snapshot, births, repeat = _read_store(path, strict)
+            records = list(snapshot.records)
+            store = cls(path, snapshot.config, records, handle, sync, group_size, births, repeat)
+            store._torn = snapshot.report.torn_offset
+            if cut:
+                store.cut_torn_tail()
         except BaseException:
             handle.close()
             raise
-        return store, report
+        return store, snapshot.report
+
+    def cut_torn_tail(self) -> None:
+        """Truncate the torn tail open found, if it is still there."""
+        if self._torn is not None:
+            self._fh.truncate(self._torn)
+            self._fh.seek(0, os.SEEK_END)
+            self._settled_end, self._torn = self._torn, None
 
     def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> None:
         """Write the frame of the next record; records grows when it is applied.
@@ -624,10 +693,28 @@ class Store:
         """
         if self._fh.closed:
             raise ValueError(f"store {self.path} is closed; reopen it to append")
+        if self._torn is not None:
+            self.cut_torn_tail()
+        seq, repeat = self._seq, self._repeat
         births = None if self._births is None else list(self._births)
-        text = dumps(encode_record(self._seq, tx, outcome, k_len_after, births))
-        if not in_canonical_alphabet(text) or not nodes_are_pairs(tx):
-            raise ValueError(f"record {self._seq} holds a non-value; not written to {self.path}")
+        if repeat is not None and tx is repeat[2]:
+            nodes, tx_text = None, repeat[1]
+        else:
+            nodes = pair_nodes(tx)
+            if nodes is None:
+                raise ValueError(f"record {seq} holds a non-value; not written to {self.path}")
+            # Only a transaction of enough pairs is written apart, and so
+            # compared: the others cost one dumps, as in version 2.
+            tx_text = dumps(tx) if repeat is not None and len(nodes) >= _REPEAT_PAIRS else None
+        if tx_text is None:
+            text = dumps(encode_record(seq, tx, outcome, k_len_after, births))
+        else:  # dumps of the record, with the transaction's text at hand
+            refers = tx_text == repeat[1]
+            end = (repeat[0], 0) if refers else 0
+            record = encode_record(seq, 0 if refers else tx, outcome, k_len_after, births, end)
+            text = f"[{seq},[{'0' if refers else tx_text},{dumps(record[1][1])}]]"
+        if not in_canonical_alphabet(text):
+            raise ValueError(f"record {seq} holds a non-value; not written to {self.path}")
         payload = text.encode("ascii")
         try:
             self._fh.write(encode_frame(payload))
@@ -636,6 +723,9 @@ class Store:
             raise
         self._seq += 1
         self._births = births
+        if tx_text is not None and not refers:
+            exact = all(node.__class__ is tuple for node in nodes)
+            self._repeat = (seq, tx_text, tx if exact else _UNCHECKED)
         self._pending_syncs += 1
         if self._pending_syncs >= self._group_size:
             self.settle()

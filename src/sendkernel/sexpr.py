@@ -58,6 +58,7 @@ __all__ = [
     "scan_split",
     "in_canonical_alphabet",
     "nodes_are_pairs",
+    "pair_nodes",
     "chain",
     "unchain",
 ]
@@ -186,6 +187,12 @@ def nodes_are_pairs(x) -> bool:
     dumps writes any tuple or list as a JSON array, so (1, 2, 3) and ()
     pass the alphabet as "[1,2,3]" and "[]", which parse refuses.
     """
+    return pair_nodes(x) is not None
+
+
+def pair_nodes(x) -> Optional[list]:
+    """The parts of x that are not ints, if each unpacks to two items, else
+    None (nodes_are_pairs).  dumps writes one "[" for each."""
     nodes = [x] if x.__class__ is not int else []
     try:
         for head, tail in nodes:  # breadth-first; unpacking checks the length
@@ -194,8 +201,8 @@ def nodes_are_pairs(x) -> bool:
             if tail.__class__ is not int:
                 nodes.append(tail)
     except (TypeError, ValueError):  # not iterable, or not two items
-        return False
-    return True
+        return None
+    return nodes
 
 
 def parse(text: str) -> SExpr:

@@ -225,7 +225,8 @@ class StateView:
     `pending` only ever grows, so the lookups that need it read an index
     extended from a high-water mark instead of rescanning the list: the
     identities it creates, its first row per receiver (the birth, for a
-    created object) and its count of creation records.
+    created object) and its count of creation records.  The committed
+    prefix's count is fixed, so it is counted once.
     """
 
     __slots__ = (
@@ -237,6 +238,7 @@ class StateView:
         "_created",
         "_first",
         "_registry",
+        "_committed",
     )
 
     def __init__(
@@ -254,6 +256,7 @@ class StateView:
         self._created: set[int] = set()
         self._first: dict[int, SExpr] = {}
         self._registry = 0
+        self._committed: Optional[int] = None  # the committed prefix's count
 
     def _index_pending(self) -> None:
         """Fold the pending entries appended since the last lookup into the index."""
@@ -313,7 +316,9 @@ class StateView:
         if self.tracer is not None:
             self.tracer.on_projection("registry", KERNEL_IDENTITY)
         self._index_pending()
-        return bisect_left(self.kstate.positions_of(KERNEL_IDENTITY), self.k_len) + self._registry
+        if self._committed is None:
+            self._committed = bisect_left(self.kstate.positions_of(KERNEL_IDENTITY), self.k_len)
+        return self._committed + self._registry
 
 
 def encode_log(rows: Iterable[tuple[int, SExpr]]) -> SExpr:

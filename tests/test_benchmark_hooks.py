@@ -31,6 +31,7 @@ from sendkernel import durability, interpreter, scheduler, txn
 from sendkernel.assembler import SEED_MESSAGE, Const, ProgramBuilder, Slot
 from sendkernel.dispatch import EXTERNAL_TAG
 from sendkernel.patterns import ECHO_PROGRAM, creator, poke
+from sendkernel.sexpr import parse, unchain
 from sendkernel.txn import Kernel, SystemState
 
 from test_acceptance import ReadTracer
@@ -70,12 +71,32 @@ def test_scheduler_call_shape_resolves():
     assert "retries" in fields
 
 
+def test_the_arguments_the_tracer_reads_keep_their_places():
+    # WRAPPED's keep functions read Store.append's outcome as args[2], and
+    # the text of scan_frames, parse and dumps as args[0] or the result.
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(durability.Store.append) == ["self", "tx", "outcome", "k_len_after"]
+    assert names(durability.decode_record)[:4] == ["x", "offset", "last_birth", "version"]
+    assert [names(f)[0] for f in (durability.scan_frames, durability.parse, durability.dumps)] == [
+        "data",
+        "text",
+        "x",
+    ]
+
+
 def test_open_calls_the_traced_decoders_by_name(tmp_path, monkeypatch):
     path = str(tmp_path / "s.store")
+    batch = creator(ECHO_PROGRAM, ECHO_PROGRAM)
     with durability.DurableSystem.create(path, sync="none") as ds:
         ds.submit(creator(ECHO_PROGRAM))
-        for i in range(4):
+        for i in range(2):
             ds.submit(poke(14, (i, i)))
+            ds.submit(batch)  # the second is a reference to the first
+    with open(path, "rb") as fh:
+        payloads = durability.scan_frames(fh.read()).payloads[1:]
+    assert [len(unchain(parse(p.decode()))) for p in payloads] == [6, 6, 6, 6, 7]
     calls = {"scan_frames": 0, "decode_record": 0}
     for name in calls:
         original = getattr(durability, name)

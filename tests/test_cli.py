@@ -14,7 +14,7 @@ from sendkernel.durability import DurableSystem, read_store
 from sendkernel.patterns import ECHO_PROGRAM, creator, delegation_transactions, poke
 from sendkernel.sexpr import dumps
 
-from test_durability import birth_references
+from test_durability import birth_references, transaction_references
 
 
 def outward_tx(instance_key, obj, message):
@@ -125,6 +125,18 @@ def test_exec_refers_to_equal_parsed_births(tmp_path, capsys):
     code, _, err = run_main(capsys, ["exec", txfile, "--store", str(store)])
     assert code == EXIT_OK, err
     assert birth_references(store) == 99
+    assert run_main(capsys, ["verify", "--store", str(store)])[0] == EXIT_OK
+
+
+def test_exec_refers_to_equal_parsed_transactions(tmp_path, capsys):
+    # each line is parsed on its own, so only the texts' equality finds them
+    long = creator(ECHO_PROGRAM, ECHO_PROGRAM)
+    assert len(dumps(long)) >= 64
+    txfile = write_txfile(tmp_path / "txs", [long, poke(14, 5), long, long])
+    store = tmp_path / "k.store"
+    code, _, err = run_main(capsys, ["exec", txfile, "--store", str(store)])
+    assert code == EXIT_OK, err
+    assert transaction_references(store) == [None, None, 0, 0]
     assert run_main(capsys, ["verify", "--store", str(store)])[0] == EXIT_OK
 
 
@@ -470,6 +482,21 @@ def test_compose_leaves_a_store_it_did_not_create_as_it_was(delegation_store, tm
     code, _, err = run_compose(tmp_path, capsys, instances)
     assert code == EXIT_USAGE, err
     assert file_hash(store) == before
+
+
+def test_compose_cuts_no_torn_tail_until_every_store_has_opened(tmp_path, capsys):
+    store = tmp_path / "a.store"
+    txfile = write_txfile(tmp_path / "txs", delegation_transactions()[:2])
+    assert run_main(capsys, ["exec", txfile, "--store", str(store)])[0] == EXIT_OK
+    store.write_bytes(store.read_bytes()[:-3])
+    before = store.read_bytes()
+    instances = [{"key": 2, "store": str(store)}, {"key": 3, "store": str(tmp_path / "nodir/b.store")}]
+    code, _, err = run_compose(tmp_path, capsys, instances)
+    assert code == EXIT_USAGE, err
+    assert store.read_bytes() == before
+    code, _, err = run_compose(tmp_path, capsys, instances[:1])
+    assert code == EXIT_OK, err
+    assert len(read_store(str(store), strict=True).records) == 2  # one left by the cut, one run
 
 
 def test_compose_removes_its_stores_when_a_later_store_is_locked(

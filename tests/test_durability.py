@@ -157,14 +157,15 @@ class TestHeaderCodec:
         assert decode_header(encode_header(config)) == config
 
     def test_frozen_shape(self):
-        assert encode_header(KernelConfig("seq", 0, 1000)) == (2, (0, (0, (1000, 0))))
-        assert decode_header((1, (0, (0, (1000, 0))))) == KernelConfig("seq", 0, 1000)
+        assert encode_header(KernelConfig("seq", 0, 1000)) == (3, (0, (0, (1000, 0))))
+        for version in (1, 2, 3):
+            assert decode_header((version, (0, (0, (1000, 0))))) == KernelConfig("seq", 0, 1000)
 
     @pytest.mark.parametrize(
         "bad",
         [
             0,
-            (3, (0, (0, (1000, 0)))),  # unknown version
+            (4, (0, (0, (1000, 0)))),  # unknown version
             (1, (9, (0, (1000, 0)))),  # unknown allocator
             (1, (0, ((1, 1), (1000, 0)))),  # salt not an atom
             (1, (0, (0, (0, 0)))),  # zero budget
@@ -264,8 +265,8 @@ class TestRecordCodec:
         assert (info.value.reason, info.value.offset) == (reason, 42)
 
 
-def build_store(path, txs, config=None, sync="none", version=2):
-    if version == 2:
+def build_store(path, txs, config=None, sync="none", version=3):
+    if version == 3:
         ds = DurableSystem.create(str(path), config, sync=sync)
     else:
         ds = create_versioned(str(path), config, version)
@@ -710,7 +711,7 @@ class TestSharedBirths:
         assert len({id(b) for b in births}) == 4  # one object per run of equal births
 
     def test_read_store_and_open_share_equal_births(self, tmp_path):
-        for version in (1, 2):
+        for version in (1, 2, 3):
             p = tmp_path / f"v{version}.log"
             live = build_store(p, self.TXS, version=version)
             with open(p, "rb") as fh:
@@ -739,8 +740,8 @@ def payloads_of(path, strict=False):
 
 def reference_read(path, strict=False):
     """read_store the reference way: each payload parsed whole, then
-    decode_record of its value under the header's version, with
-    read_store's checks between records."""
+    decode_record of its value under the header's version and the records
+    read before it, with read_store's checks between records."""
     payloads = payloads_of(path, strict)
     version = unchain(parse(payloads[0].decode()))[0]
     records, k_len, last_birth = [], 0, [None, None]
@@ -749,7 +750,7 @@ def reference_read(path, strict=False):
             value = parse(payload.decode())
         except ValueError as exc:
             raise StoreCorruption(f"unreadable payload: {exc}", i + 1) from None
-        record = decode_record(value, i + 1, last_birth, version)
+        record = decode_record(value, i + 1, last_birth, version, records=records)
         if record.seq != i:
             raise StoreCorruption(f"record sequence {record.seq} where {i} expected", i + 1)
         expected = k_len + len(record.entries)
@@ -758,6 +759,13 @@ def reference_read(path, strict=False):
         k_len = record.k_len_after
         records.append(record)
     return records
+
+
+def transaction_references(path):
+    """Each record's transaction reference [ref,0], as ref, or None where its
+    transaction is written in full."""
+    fields = [unchain(parse(q.decode())) for q in payloads_of(path)[1:]]
+    return [f[6] if len(f) == 7 else None for f in fields]
 
 
 def shared_pattern(records):
@@ -810,7 +818,7 @@ class TestScannerDecode:
     and on damage the same reason at the same offset."""
 
     def test_records_and_shared_births_match_the_reference(self, tmp_path):
-        for version in (1, 2):
+        for version in (1, 2, 3):
             directory = tmp_path / f"v{version}"
             directory.mkdir()
             pinned_stores(str(directory), version)
@@ -839,7 +847,7 @@ class TestScannerDecode:
             return value
 
         monkeypatch.setattr(durability, "_pairs", counted)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             p = tmp_path / f"v{version}.log"
             build_store(p, BIRTH_RUNS, version=version)
             converted.clear()
@@ -880,7 +888,7 @@ class TestScannerDecode:
         for i in range(2 * sys.getrecursionlimit() + 10):
             deep = (i % 7, deep)
         middle = creator(P, P) if fallback == "whitespace" else creator(deep, deep)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             p = tmp_path / f"v{version}.log"
             txs = [creator(P, P), creator(P), middle, creator(P, P), creator(Q, P)]
             build_store(p, txs, version=version)
@@ -929,13 +937,15 @@ class TestRepeatedTransactions:
         assert texts[1] != texts[2] and texts[1][:_SHARED_TEXT] == texts[2][:_SHARED_TEXT]
 
     def test_repeated_long_transactions_share_one_str(self, tmp_path):
-        p = tmp_path / "s.log"
-        live = build_store(p, REPEATS)
-        records = read_store(str(p), strict=True).records
-        assert list(records) == reference_read(str(p), strict=True) == live
-        texts = [r._tx for r in records]
-        assert len({id(texts[i]) for i in (0, 2, 4, 7)}) == 1
-        assert [dumps(r.tx) for r in records] == [dumps(tx) for tx in REPEATS]
+        for version in (2, 3):  # version 3 writes record 2 as a reference to 0
+            p = tmp_path / f"v{version}.log"
+            live = build_store(p, REPEATS, version=version)
+            assert transaction_references(p) == [None, None, 0 if version == 3 else None] + [None] * 5
+            records = read_store(str(p), strict=True).records
+            assert list(records) == reference_read(str(p), strict=True) == live
+            texts = [r._tx for r in records]
+            assert len({id(texts[i]) for i in (0, 2, 4, 7)}) == 1
+            assert [dumps(r.tx) for r in records] == [dumps(tx) for tx in REPEATS]
 
     @pytest.mark.parametrize("edit", [None, lambda t: t.replace("[99,0]", "[99,0,0]", 1)])
     def test_a_transaction_sharing_a_checked_prefix_is_rescanned(self, tmp_path, edit):
@@ -1071,8 +1081,8 @@ PINNED_DIGESTS = {
     "routed_peer_hash": "86aa86861fc30f3a6d35985fad91263a15c80f7716096217c1f0b2ac89fcc6f8",
 }
 
-# The same stores written as version 2 by Store.create: a birth row equal
-# to the previous birth is [ident,[caller,0]].
+# The same stores written as version 2: a birth row equal to the previous
+# birth is [ident,[caller,0]].
 PINNED_DIGESTS_V2 = {
     "delegation_seq": "a3a0a84613636997ad1f2f466051f1aa10a957b5ef3118d8738d93cf88d51de4",
     "auction_seq": "01a6af6fcf0435830cf0a5cbdb2b64c6e1a9e201931af6841c81c03157330820",
@@ -1093,22 +1103,47 @@ PINNED_DIGESTS_V2 = {
 }
 
 
+# The same stores written as version 3 by Store.create.  None of them repeats
+# a transaction of 16 pairs or more, so past the header they are the
+# version-2 bytes.
+PINNED_DIGESTS_V3 = {
+    "delegation_seq": "14ca1cd712d996dfea2fdce2334edda2e0ac48420484361c95c3f7b106341068",
+    "auction_seq": "1a1b1d74a35430627a34bb20635ca075cd186294c04295cbfd467f02cf44b31c",
+    "escrow_seq": "6a86d9e54a797b9ad6adbec88a46f31ba722d80992375cfe55dee05a883d6047",
+    "clone_seq": "16af820f5ab0c4902732db018cde5818a22f36c4355cd047df9f82337cfdeedd",
+    "bootloader_seq": "3930e600e6834303cf5b9b36a0ebb3ad7628db985100f8dc407f6a7af8979547",
+    "folds_seq": "595b0857605e065fead0671d529373e368af516e29730d75832501b13fb4c9ee",
+    "routed_origin_seq": "56108bb3af02185dc6961ccda438f35d5bdfa7cc3dcb9d567723fb10b28b926e",
+    "routed_peer_seq": "72008643acd3ca038d119005e1c9135e729510e2c5772edf4a20fd3e301cb0cb",
+    "delegation_hash": "c0fbf5a74849a7303e37750af08ddf5613d07303062ed8f9864bc939e9f3c1a8",
+    "auction_hash": "e8ac786169fe572489b4123f3a04a8d5077edea10102b1ebdf7ec2b34a78bb96",
+    "escrow_hash": "150c8f902619c54a24e849068fb156b6d8cbb82e8f26b49096e28a013242e031",
+    "clone_hash": "fcb4125843b7dbe05bc138aa1695b4fb78d07bf3b111d86092a1df6a25ef1877",
+    "bootloader_hash": "4e1fd4c8612dc785b797e79b2de94220a93acad5f179cb8a1884cb2db344bff7",
+    "folds_hash": "78c8747035987f1bac002246879114240e1ddcd3daec775d76e8475099202f72",
+    "routed_origin_hash": "d54e689fff4e37309d2e132e36e399c2c3a89036c245d1e8852ab18cc54f432c",
+    "routed_peer_hash": "bd85f066d45b6f1961da957f84d0e640485cf48ca32e0c978b86406f9969eff8",
+}
+
+
 def sha256_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def create_versioned(path, config, version):
-    """DurableSystem.create for version 2; for version 1, a version-1 header
-    frame written by hand and then opened, so that it appends as version 1."""
-    if version == 2:
+    """DurableSystem.create for version 3; for an older version, a header
+    frame of that version written by hand and then opened, so that it
+    appends as that version."""
+    if version == 3:
         return DurableSystem.create(path, config, sync="none")
     with open(path, "xb") as fh:
-        fh.write(encode_frame(dumps((1, encode_header(config or KernelConfig())[1])).encode()))
+        header = (version, encode_header(config or KernelConfig())[1])
+        fh.write(encode_frame(dumps(header).encode()))
     return DurableSystem.open(path, sync="none")[0]
 
 
-def pinned_stores(directory, version=2):
+def pinned_stores(directory, version=3):
     """Write every fixture workload, and one routed origin/peer pair, under
     both allocators; return each store's sha256 by name."""
     digests = {}
@@ -1136,7 +1171,7 @@ def pinned_stores(directory, version=2):
 
 
 def test_store_bytes_are_pinned(tmp_path):
-    for version, pinned in [(1, PINNED_DIGESTS), (2, PINNED_DIGESTS_V2)]:
+    for version, pinned in [(1, PINNED_DIGESTS), (2, PINNED_DIGESTS_V2), (3, PINNED_DIGESTS_V3)]:
         directory = tmp_path / f"v{version}"
         directory.mkdir()
         assert pinned_stores(str(directory), version) == pinned
@@ -1334,15 +1369,184 @@ class TestFormat2:
     def test_fixture_records_match_across_versions(self, tmp_path):
         for name, txs in zip(FIXTURE_NAMES, _fixture_workloads()):
             snapshots = []
-            for version in (1, 2):
+            for version in (1, 2, 3):
                 path = str(tmp_path / f"{name}_{version}.store")
                 with create_versioned(path, KernelConfig(), version) as ds:
                     live = [ds.submit(tx) for tx in txs]
                 snapshots.append(read_store(path, strict=True))
-            v1, v2 = snapshots
-            assert list(v1.records) == list(v2.records) == live, name
+            v1, v2, v3 = snapshots
+            assert list(v1.records) == list(v2.records) == list(v3.records) == live, name
             lines = v1.committed_state().canonical_lines()
             assert v2.committed_state().canonical_lines() == lines, name
+            assert v3.committed_state().canonical_lines() == lines, name
+
+
+LONG_ABORT = ((0, 4), chain(range(20)))  # 22 pairs; it aborts
+ONES = ((0, 4), chain([1] * 20))  # aborts, so nothing of it reaches the record's tail
+
+
+def reference(seq, ref, tx=0):
+    """A record payload that refers to record ref: seven fields chained."""
+    return chain([seq, tx, (1, 9), 0, 0, 0, ref])
+
+
+class TestFormat3:
+    """A version-3 record whose transaction has 16 pairs or more and the text
+    of the last such transaction written in full is written as a reference
+    to that record, [k_len_after,[ref,0]] with 0 for the transaction, and
+    reads as that record's transaction, the same str."""
+
+    TXS = [LONG_TX, SHORT_TX, LONG_TX, LONG_ABORT, PREFIX_TX, LONG_TX, LONG_ABORT, LONG_ABORT]
+    REFS = [None, None, 0, None, None, None, None, 6]
+
+    def one_session(self, path, txs):
+        build_store(path, txs)
+        return path.read_bytes()
+
+    def test_every_offset_recovers_a_prefix_that_appends(self, tmp_path):
+        p = tmp_path / "s.log"
+        build_store(p, self.TXS[:3])
+        with DurableSystem.open(str(p), sync="none")[0] as ds:
+            for tx in self.TXS[3:]:
+                ds.submit(tx)
+        assert transaction_references(p) == self.REFS
+        image = p.read_bytes()
+        assert image == self.one_session(tmp_path / "one.log", self.TXS)
+        live = read_store(str(p), strict=True).records
+        assert live[2]._tx is live[0]._tx and live[7]._tx is live[6]._tx
+        # what one session writes with LONG_TX after each prefix
+        want = [self.one_session(tmp_path / f"{n}.log", self.TXS[:n] + [LONG_TX]) for n in range(9)]
+        q = tmp_path / "cut.log"
+        for cut in range(image.index(b"\n") + 1, len(image) + 1):
+            q.write_bytes(image[:cut])
+            ds, _ = DurableSystem.open(str(q), sync="none")
+            n = len(ds.system.records)
+            with ds:
+                assert ds.system.records == list(live[:n]), cut
+                ds.submit(LONG_TX)
+            assert q.read_bytes() == want[n], cut
+            back = read_store(str(q), strict=True)
+            assert list(back.records[:n]) == list(live[:n]), cut
+            assert replay_verify(back) is None, cut
+
+    @pytest.mark.parametrize(
+        "version, second, reason",
+        [
+            (1, reference(1, 0), "transaction reference in a version-1 store"),
+            (2, reference(1, 0), "transaction reference in a version-2 store"),
+            (3, reference(1, 1), "transaction reference to no earlier record"),
+            (3, reference(1, 10**30), "transaction reference to no earlier record"),
+            (3, reference(1, (0, 0)), "malformed transaction reference"),
+            (3, reference(1, 0, tx=(1, 2)), "transaction beside a transaction reference"),
+            (3, reference(1, 0, tx=7), "transaction beside a transaction reference"),
+            (3, chain([1, 0, (1, 9), 0, 0, 0, 0, 0]), "malformed record"),  # eight fields
+        ],
+        ids=["version-1", "version-2", "itself", "later", "pair", "pair-tx", "atom-tx", "eight"],
+    )
+    def test_reference_reasons(self, tmp_path, version, second, reason):
+        p = tmp_path / "s.log"
+        write_frames(p, version, dumps(record(0)), dumps(second))
+        for read in (lambda: read_store(str(p)), lambda: reference_read(str(p))):
+            with pytest.raises(StoreCorruption) as info:
+                read()
+            assert (info.value.reason, info.value.offset) == (reason, 2)
+        with pytest.raises(StoreCorruption):
+            Store.open(str(p))
+
+    @pytest.mark.parametrize("fallback", [None, "whitespace"])
+    def test_a_reference_reads_as_the_earlier_transaction(self, tmp_path, fallback):
+        p = tmp_path / "s.log"
+        write_frames(p, 3, dumps(record(0)), dumps(record(1)), dumps(reference(2, 0)))
+        if fallback:
+            reframe(p, 0, lambda t: "[ " + t[1:])  # read the reference way
+        for records in (read_store(str(p)).records, reference_read(str(p))):
+            assert [r.tx for r in records] == [(1, 2)] * 3
+            assert records[2]._tx is records[0]._tx is not records[1]._tx
+
+    def test_refers_by_text_and_refuses_a_near_copy(self, tmp_path):
+        p = tmp_path / "s.log"
+        ds = DurableSystem.create(str(p), sync="none")
+        ds.submit(creator(P))
+        ds.submit(ONES)
+        ds.store.settle()
+        before = p.read_bytes()
+        for bad in (True, 1.0, -5):  # the alphabet, not the pair walk, refuses -5
+            near = ((0, 4), chain([bad] + [1] * 19))
+            assert near == ONES or bad == -5  # == on values takes True and 1.0 for 1
+            with pytest.raises(ValueError):
+                ds.submit(near)
+            ds.store.settle()
+            assert p.read_bytes() == before
+        ds.submit(list(ONES))  # a list in place of a tuple: the same text
+        ds.submit(ONES)
+        ds.close()
+        assert transaction_references(p) == [None, None, 1, 1]
+        records = read_store(str(p), strict=True).records
+        q = tmp_path / "v2.log"
+        build_store(q, [creator(P), ONES, list(ONES), ONES], version=2)
+        assert list(records) == list(read_store(str(q), strict=True).records)
+        assert records[2]._tx is records[1]._tx and records[2].tx == ONES
+
+    def test_a_changed_list_is_written_again(self, tmp_path):
+        p = tmp_path / "s.log"
+        inner = [1, chain(range(20))]
+        tx = poke(14, inner)
+        with DurableSystem.create(str(p), sync="none") as ds:
+            ds.submit(creator(P))
+            ds.submit(tx)
+            inner[0] = 2
+            ds.submit(tx)
+            ds.submit(tx)
+        assert transaction_references(p) == [None, None, None, 2]
+        records = read_store(str(p), strict=True).records
+        first, changed = [poke(14, (n, chain(range(20)))) for n in (1, 2)]
+        assert [r.tx for r in records[1:]] == [first, changed, changed]
+
+    def test_a_store_without_repeats_is_version_2_past_the_header(self, tmp_path):
+        # a record that does not refer is written as version 2 writes it
+        digests = pinned_stores(str(tmp_path), 3)
+        for path in tmp_path.glob("*.store"):
+            header, *records = payloads_of(path, strict=True)
+            assert header.startswith(b"[3,")
+            frames = [encode_frame(b"[2," + header[3:])] + [encode_frame(r) for r in records]
+            name = path.stem.replace("routed_o_", "routed_origin_").replace("routed_p_", "routed_peer_")
+            assert hashlib.sha256(b"".join(frames)).hexdigest() == PINNED_DIGESTS_V2[name], name
+        assert len(digests) == 16
+
+    POOL = [LONG_TX, creator(Q, Q), SHORT_TX, PREFIX_TX, PREFIX_TX_2, LONG_ABORT, ONES, TX_ABORT]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.tuples(st.sampled_from(POOL), st.booleans()), st.just("reopen")),
+            max_size=12,
+        )
+    )
+    def test_round_trip(self, steps):
+        """Transactions drawn from long, short and prefix-sharing ones, each
+        given as the shared object to one store and as an equal parsed copy to
+        the other, which is never reopened: the bytes must not differ."""
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [os.path.join(directory, name) for name in ("reopened.log", "one.log")]
+            stores = [DurableSystem.create(path, sync="none") for path in paths]
+            live = []
+            for step in steps:
+                if step == "reopen":
+                    stores[0].close()
+                    stores[0] = DurableSystem.open(paths[0], sync="none")[0]
+                    continue
+                tx, copy = step
+                txs = [tx, parse(dumps(tx))]
+                live.append(stores[0].submit(txs[copy]))
+                stores[1].submit(txs[not copy])
+            for ds in stores:
+                ds.close()
+            reopened, _ = DurableSystem.open(paths[0], sync="none")
+            reopened.close()
+            assert reopened.system.records == live
+            assert replay_verify(read_store(paths[0], strict=True)) is None
+            with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestOneRecordList:
