@@ -27,19 +27,13 @@ its own version.  decode_record's docstring holds the rules of both.
 
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text: the text is parsed only
-when replay reads the record's tx.  A long text the read has checked is
-not checked again and its records share one str (sexpr.scan_split); replay
-parses it at most twice (replay_compare), as equal text is one immutable
-value.  The rest is decoded from the C scanner's lists: decode_record
-reads the fields by unpacking and turns into pairs only the values the
-record keeps.
-A payload the scanner refuses, or whose lists decode_record refuses, is
-parsed whole and decoded again, so damage is reported as the parser and
-decode_record report it.  Decoded births share equal programs: a full birth
-row whose program equals the previous birth program of the same read takes
-that object, so the reopened state holds one program per run of equal
-births, as the live system does.  The comparison is made on the scanner's
-lists, before conversion, so a run of equal births converts one program.
+when replay reads the record's tx, and a long text at most twice
+(replay_compare).  The rest is decoded from the C scanner's lists:
+decode_record reads the fields by unpacking and turns into pairs only the
+values the record keeps.  A payload the scanner refuses, or whose lists
+decode_record refuses, is parsed whole and decoded again, so damage is
+reported as the parser and decode_record report it.  Decoded births share
+equal programs, as the live system's creations do (decode_record).
 
 A store has one writer at a time: Store.create and Store.open lock the
 file, and read_store, which never writes, takes no lock.
@@ -57,7 +51,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .sexpr import (
-    _SHARED_TEXT,
     SExpr,
     _pairs,
     chain,
@@ -216,19 +209,18 @@ def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
 
 
 def _decode_payload(
-    payload: bytes, offset: int, last_birth: list, version: int, checked: dict, records: list
+    payload: bytes, offset: int, last_birth: list, version: int, records: list
 ) -> TxRecord:
     """decode_record of a record payload read as the C scanner's lists.
 
-    The transaction stays canonical text (sexpr.scan_split, with the
-    read's table of checked texts).  A payload the scanner refuses, or
-    whose lists decode_record refuses, is decoded the reference way: parsed
-    whole, transaction and all, then decode_record of its value.  So a
-    damaged payload is reported exactly as _parse_payload and decode_record
-    report it.
+    The transaction stays canonical text (sexpr.scan_split).  A payload the
+    scanner refuses, or whose lists decode_record refuses, is decoded the
+    reference way: parsed whole, transaction and all, then decode_record of
+    its value.  So a damaged payload is reported exactly as _parse_payload
+    and decode_record report it.
     """
     try:
-        split = scan_split(payload.decode("ascii"), checked)
+        split = scan_split(payload.decode("ascii"))
     except UnicodeDecodeError:
         split = None
     if split is not None:
@@ -324,15 +316,15 @@ def decode_record(
     record keeps is turned into pairs: the result, each row's message and
     each outward send's target and message.
 
-    last_birth is a two-item list, [None, None] before the first birth;
-    read_store passes one list to every record.  A birth row is the row
-    right after a creation row (0, c, ident) whose receiver is ident.
+    last_birth is [the previous birth's program or None], encode_record's
+    list; read_store passes one list to every record.  A birth row is the
+    row right after a creation row (0, c, ident) whose receiver is ident.
     Equal births decoded in a row share one program, the way the live
     system's creations share the object their transaction passed in, and
     the collector walks it once (_shared_birth).  From version 2 on, a
-    birth row may be the reference [ident,[caller,0]]: it reads as the
-    previous birth's program, last_birth[0].  A full row always has three
-    fields, so no reference reads as a program.
+    birth row may be the reference [ident,[caller,0]]: it reads as
+    last_birth[0].  A full row always has three fields, so no reference
+    reads as a program.
 
     records are the records read before this one (read_store's).  From
     version 3 on, a record may end [k_len_after,[ref,0]] in place of
@@ -345,7 +337,7 @@ def decode_record(
     the canonical texts are equal (Store.append).
     """
     if last_birth is None:
-        last_birth = [None, None]
+        last_birth = [None]
 
     def bad(reason: str):
         return StoreCorruption(reason, offset)
@@ -426,24 +418,18 @@ def decode_record(
 
 
 def _shared_birth(message, last_birth: list) -> SExpr:
-    """A birth row's program: the previous birth's program when equal.
+    """A full birth row's program: last_birth[0] if equal, else the message
+    converted, which becomes last_birth[0].
 
-    last_birth holds that program and the message it was read from, kept
-    unconverted: the scanner's lists, with keep undoing _pairs' marks, or
-    the parsed value of a payload read the reference way.  The message in
-    hand is compared with that form before it is converted, so a run of
-    equal births from the scanner converts its first program only.  A
-    message that differs from it is converted and then compared with the
-    program itself, which shares births across a payload read either way.
+    From version 2 on the writer writes a birth equal to the previous one as
+    a reference, so only version-1 stores hold equal births in full.
     """
-    program, raw = last_birth
-    if raw is not None and equal(message, raw):
+    value = _pairs(message)
+    program = last_birth[0]
+    if program is not None and equal(value, program):
         return program
-    value = _pairs(message, keep=True) if message.__class__ is list else message
-    last_birth[1] = message
-    if program is None or not equal(value, program):
-        last_birth[0] = program = value
-    return program
+    last_birth[0] = value
+    return value
 
 
 # the store ------------------------------------------------------------------
@@ -529,12 +515,11 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list],
 
     records: list[TxRecord] = []
     k_len = 0
-    last_birth = [None, None]
-    checked: dict = {}
+    last_birth = [None]
     repeat = None if version < 3 else _NO_REPEAT
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = _decode_payload(payload, i + 1, last_birth, version, checked, records)
+            record = _decode_payload(payload, i + 1, last_birth, version, records)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -552,13 +537,20 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list],
                 if len(text) > 4 * _REPEAT_PAIRS and text.count("[") >= _REPEAT_PAIRS:
                     repeat = repeat if text == repeat[1] else (i, text, _UNCHECKED)
     report = RecoveryReport(len(records), scan.torn_offset, len(data) - scan.clean_end)
-    births = None if version == 1 else [last_birth[0]]
+    births = None if version == 1 else last_birth
     return StoreSnapshot(config, tuple(records), report), births, repeat
 
 
 _UNCHECKED = object()  # a repeat's value when its text must be compared
 _NO_REPEAT = (None, None, _UNCHECKED)
 
+
+def _check_policy(sync: str, group_size: int) -> None:
+    """Raise ValueError for a sync policy or group size Store cannot take."""
+    if sync not in SYNC_POLICIES:
+        raise ValueError(f"unknown sync policy {sync!r}")
+    if group_size < 1:
+        raise ValueError("group size must be positive")
 
 
 def _take_writer_lock(handle, path: str) -> None:
@@ -610,10 +602,6 @@ class Store:
         births: Optional[list],
         repeat: Optional[tuple],
     ):
-        if sync not in SYNC_POLICIES:
-            raise ValueError(f"unknown sync policy {sync!r}")
-        if group_size < 1:
-            raise ValueError("group size must be positive")
         self.path = path
         self.config = config
         self.records = records
@@ -636,6 +624,7 @@ class Store:
         group_size: int = 1,
     ) -> "Store":
         config = config or KernelConfig()
+        _check_policy(sync, group_size)
         if os.path.exists(path):
             raise FileExistsError(f"store already exists: {path}")
         fh = open(path, "xb")
@@ -661,6 +650,7 @@ class Store:
         append, so that a caller opening several stores can leave every
         file as it was if one of them fails to open.
         """
+        _check_policy(sync, group_size)
         handle = open(os.open(path, os.O_WRONLY | os.O_APPEND), "ab")
         try:
             _take_writer_lock(handle, path)
@@ -822,6 +812,7 @@ class Divergence:
         return f"record {self.seq} diverges on {self.field}"
 
 
+_SHARED_TEXT = 64  # the shortest transaction text replay_compare shares
 _SEEN_ONCE = object()
 
 

@@ -20,8 +20,6 @@ pairs at all: it checks b's lists and hands back b's text, which a store
 reader keeps in place of a transaction until replay parses it, and it
 hands back a and c as the scanner's lists, which the store reader unpacks
 where it reads fields and turns into pairs only where it keeps a value.
-Given the reader's table of b texts already checked, it hands back the
-same str for a repeated long b without scanning or checking it again.
 
 Values nest far deeper than any recursion limit (logs are right-nested
 pair chains).  The C code guards its own recursion with the interpreter's
@@ -57,7 +55,6 @@ __all__ = [
     "parse",
     "scan_split",
     "in_canonical_alphabet",
-    "nodes_are_pairs",
     "pair_nodes",
     "chain",
     "unchain",
@@ -97,8 +94,8 @@ def equal(a: SExpr, b: SExpr) -> bool:
     """Structural equality: C's tuple comparison, then a worklist walk for
     values nested past the recursion limit.
 
-    A store reader also compares the C scanner's nested lists with it, so
-    the walk checks lengths: a list of three items never equals a pair.
+    The walk checks lengths, so nested lists compare too: a list of three
+    items never equals a pair.
     """
     try:
         return a == b
@@ -180,19 +177,11 @@ def in_canonical_alphabet(text: str) -> bool:
     return text.isascii() and not text.encode("ascii").translate(None, _CANONICAL_BYTES)
 
 
-def nodes_are_pairs(x) -> bool:
-    """Whether every part of x that is not an int unpacks to two items.
-
-    Behind in_canonical_alphabet, this leaves naturals and pairs only:
-    dumps writes any tuple or list as a JSON array, so (1, 2, 3) and ()
-    pass the alphabet as "[1,2,3]" and "[]", which parse refuses.
-    """
-    return pair_nodes(x) is not None
-
-
 def pair_nodes(x) -> Optional[list]:
     """The parts of x that are not ints, if each unpacks to two items, else
-    None (nodes_are_pairs).  dumps writes one "[" for each."""
+    None.  dumps writes one "[" for each.  Behind in_canonical_alphabet, a
+    list leaves naturals and pairs only: dumps writes (1, 2, 3) and () as
+    "[1,2,3]" and "[]", which parse refuses."""
     nodes = [x] if x.__class__ is not int else []
     try:
         for head, tail in nodes:  # breadth-first; unpacking checks the length
@@ -219,10 +208,7 @@ def parse(text: str) -> SExpr:
     return _parse_walk(text)
 
 
-_SHARED_TEXT = 64  # the shortest text scan_split's table and replay's share
-
-
-def scan_split(text: str, checked: Optional[dict] = None) -> Optional[tuple]:
+def scan_split(text: str) -> Optional[tuple]:
     """The C scanner's reading of a text [a,[b,c]] that leaves b as text:
     (a, (b_text, c)).
 
@@ -234,12 +220,6 @@ def scan_split(text: str, checked: Optional[dict] = None) -> Optional[tuple]:
     itself: one with whitespace or of another shape, and any the C scanner
     refuses (malformed text, nesting past its limit, atoms past 4,300
     digits).
-
-    checked, one reader's table of the b texts of _SHARED_TEXT+ characters
-    that passed, by their first _SHARED_TEXT characters: a b that is one of
-    them, then a comma, is that same str, neither scanned nor checked again.
-    Exact, as a value's extent is fixed by its text: an array ends at its
-    matching bracket, an atom at its last digit (hence the comma).
     """
     if text[:1] != "[" or not in_canonical_alphabet(text):  # scans start past [0]
         return None
@@ -247,27 +227,16 @@ def scan_split(text: str, checked: Optional[dict] = None) -> Optional[tuple]:
         a, i = _scan(text, 1)
         if text[i : i + 2] != ",[":
             return None
-        start = i + 2
-        b_text = checked.get(text[start : start + _SHARED_TEXT]) if checked else None
-        if b_text is not None:
-            j = start + len(b_text)
-            if not text.startswith(b_text, start) or text[j : j + 1] != ",":
-                b_text = None
-        if b_text is None:
-            b, j = _scan(text, start)
-            if text[j : j + 1] != ",":
-                return None
+        b, j = _scan(text, i + 2)
+        if text[j : j + 1] != ",":
+            return None
         c, k = _scan(text, j + 1)
         if text[k:] != "]]":
             return None
-        if b_text is None:
-            _lists(b)
-            b_text = text[start:j]
-            if checked is not None and j - start >= _SHARED_TEXT:
-                checked[b_text[:_SHARED_TEXT]] = b_text
+        _lists(b)
     except (StopIteration, RecursionError, ValueError):  # StopIteration: no value
         return None
-    return (a, (b_text, c))
+    return (a, (text[i + 2 : j], c))
 
 
 def _lists(x) -> list:
@@ -284,13 +253,12 @@ def _lists(x) -> list:
     return lists
 
 
-def _pairs(x, keep: bool = False) -> SExpr:
+def _pairs(x) -> SExpr:
     """Turn the scanner's nested lists into pairs, bottom-up; an int or a
     pair comes back as it is.
 
     Raises ValueError unless every list holds exactly two items.  Each list
-    holds its pair at [2] while its parent is converted; keep deletes those
-    again, so that x can still be compared with other scanner output.
+    holds its pair at [2] while its parent is converted.
     """
     lists = _lists(x)
     # Children first.  The lists stay alive to the end.  Freeing each as its
@@ -307,11 +275,7 @@ def _pairs(x, keep: bool = False) -> SExpr:
         node.append((head, tail))
     if not lists:
         return x
-    value = x[2]
-    if keep:
-        for node in lists:
-            del node[2]
-    return value
+    return x[2]
 
 
 _WS = " \t\r\n"

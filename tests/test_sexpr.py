@@ -14,18 +14,17 @@ from sendkernel.patterns import ECHO_PROGRAM, creator, poke
 from sendkernel.sexpr import (
     ParseError,
     atom,
-    chain,
     dumps,
     equal,
     in_canonical_alphabet,
     is_atom,
     is_pair,
-    nodes_are_pairs,
     pair,
+    pair_nodes,
     parse,
     scan_split,
 )
-from sendkernel.sexpr import _SHARED_TEXT, _dumps_walk, _pairs, _parse_walk
+from sendkernel.sexpr import _dumps_walk, _pairs, _parse_walk
 
 
 def sexprs(max_leaves=40):
@@ -414,88 +413,7 @@ class TestParseSplit:
         assert scan_split(dumps((1, (LONG, 0)))) is None
 
 
-CHAIN = dumps(chain(range(30)))
-SHARED_B_TEXTS = [
-    CHAIN,
-    dumps(chain([*range(29), 99])),  # CHAIN's first _SHARED_TEXT characters, then not
-    CHAIN.replace("[29,0]", "[29,0,0]"),  # the same prefix, then a list of three
-    "[[1,2,3]," + CHAIN + "]",  # a list of three first
-    "1" + "0" * 70,
-    "1" + "0" * 70 + "5",  # an atom one digit longer
-    "[1,2]",
-]
-
-
-def record_text(b_text, c="0"):
-    return f"[0,[{b_text},{c}]]"
-
-
-class TestSharedTexts:
-    """scan_split with a table of the b texts a reader has checked: a b
-    found there is neither scanned nor checked again, and the reading is
-    the one scan_split gives without the table."""
-
-    def test_the_pool_sets_up_each_case(self):
-        long_, prefixed, bad, bad_first, atom_, longer, short = SHARED_B_TEXTS
-        assert min(len(t) for t in SHARED_B_TEXTS[:-1]) >= _SHARED_TEXT > len(short)
-        assert prefixed[:_SHARED_TEXT] == bad[:_SHARED_TEXT] == long_[:_SHARED_TEXT]
-        assert prefixed != long_ and longer.startswith(atom_)
-        assert scan_split(record_text(bad)) is None and scan_split(record_text(bad_first)) is None
-
-    def test_a_repeated_text_is_one_str(self):
-        checked = {}
-        first = scan_split(record_text(CHAIN), checked)[1][0]
-        again = scan_split(record_text(CHAIN, "[1,[2,3]]"), checked)
-        assert again == (0, (CHAIN, [1, [2, 3]])) and again[1][0] is first
-        assert checked == {CHAIN[:_SHARED_TEXT]: first}
-
-    def test_a_short_text_is_not_kept(self):
-        checked = {}
-        assert scan_split(record_text("[1,2]"), checked) == (0, ("[1,2]", 0))
-        assert checked == {}
-
-    def test_a_text_sharing_the_prefix_is_scanned(self):
-        checked = {}
-        long_, prefixed, bad = SHARED_B_TEXTS[:3]
-        scan_split(record_text(long_), checked)
-        assert scan_split(record_text(bad), checked) is None
-        assert scan_split(record_text(prefixed), checked) == (0, (prefixed, 0))
-        assert checked[long_[:_SHARED_TEXT]] == prefixed  # overwritten
-
-    def test_an_atom_one_digit_longer_is_scanned(self):
-        checked = {}
-        atom_, longer = SHARED_B_TEXTS[4:6]
-        assert scan_split(record_text(atom_), checked) == (0, (atom_, 0))
-        assert scan_split(record_text(longer), checked) == (0, (longer, 0))
-
-    @pytest.mark.parametrize("bad", SHARED_B_TEXTS[2:4], ids=["three-after-prefix", "three-first"])
-    def test_a_refused_text_never_enters_the_table(self, bad):
-        checked = {}
-        assert scan_split(record_text(bad), checked) is None
-        assert scan_split(record_text(bad), checked) is None
-        assert checked == {}
-
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(SHARED_B_TEXTS), st.sampled_from(["0", "[1,[2,3]]", "[1]"])),
-            max_size=12,
-        )
-    )
-    def test_reads_as_without_the_table(self, texts):
-        checked = {}
-        for b_text, c in texts:
-            text = record_text(b_text, c)
-            assert scan_split(text, checked) == scan_split(text)
-
-
 class TestPairs:
-    @given(sexprs())
-    def test_keep_leaves_the_lists_as_the_scanner_built_them(self, x):
-        lists = json.loads(dumps(x))
-        assert _pairs(lists, keep=True) == x
-        assert lists == json.loads(dumps(x))
-        assert _pairs(lists) == x
-
     @pytest.mark.parametrize("x", [7, (1, 2), ((1, 2), 3)])
     def test_ints_and_pairs_come_back_as_they_are(self, x):
         assert _pairs(x) is x
@@ -512,18 +430,21 @@ class TestCanonicalAlphabet:
 
 
 class TestNodesArePairs:
+    """pair_nodes gives None exactly where a part of x is not an int and
+    does not unpack to two items."""
+
     @given(sexprs())
     def test_accepts_every_value(self, x):
-        assert nodes_are_pairs(x)
+        assert pair_nodes(x) is not None
 
     def test_accepts_a_value_past_the_recursion_limit(self):
         x = 0
         for i in range(4 * sys.getrecursionlimit()):
             x = (x, i)
-        assert nodes_are_pairs(x)
+        assert pair_nodes(x) is not None
 
     @pytest.mark.parametrize(
         "x", [(1, 2, 3), (5,), (), ((1, (5,)), 0), (0, [1, 2, 3]), (1, True), (0, "ab")]
     )
     def test_refuses_other_arities_and_types(self, x):
-        assert not nodes_are_pairs(x)
+        assert pair_nodes(x) is None
