@@ -164,6 +164,8 @@ def cmd_recover(args) -> int:
             f" {report.dropped_bytes} torn bytes at offset {report.torn_offset}"
         )
     print(f"log length {k_len}")
+    frames = report.records + 1  # the header's and each record's
+    print(f"format version {report.version}, {report.packed} of {frames} frames compressed")
     return EXIT_OK
 
 

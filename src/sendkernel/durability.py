@@ -3,15 +3,18 @@
 One file holds one header frame followed by one frame per admitted
 transaction, in admission order.  A frame is
 
-    <decimal payload length> ":" <8 hex digits of crc32> ":" <payload> "\n"
+    <decimal stored length> ":" <8 hex digits of crc32> (":" | "z") <stored bytes> "\n"
 
-where the payload is canonical s-expression text.  Appends are atomic at
-the frame level: a crash can only leave an incomplete final frame, which
-recovery drops.  An incomplete tail is only tolerated when opening for
-recovery; a complete frame whose checksum or grammar is wrong is
-corruption no matter where it sits, and strict opens (used by the audit
-commands) treat even a torn tail as a failure so that any damaged file is
-reported rather than silently trimmed.
+where the crc covers the stored bytes: after ":" the payload, canonical
+s-expression text; after "z" a version-4 payload of PACK_GATE+ bytes as
+one zlib stream at level PACK_LEVEL, which scan_frames inflates.  A
+store's content is deterministic; its bytes are so within one zlib build
+only.  Appends are atomic at the frame level: a crash can only leave an
+incomplete final frame, which recovery drops.  An incomplete tail is only
+tolerated when opening for recovery; a complete frame whose checksum or
+grammar is wrong is corruption no matter where it sits, and strict opens
+(used by the audit commands) treat even a torn tail as a failure so that
+any damaged file is reported rather than silently trimmed.
 
 Record payloads carry everything needed to rebuild the system without
 re-executing anything: the transaction, its tagged result, the appended
@@ -20,10 +23,10 @@ fields of a TxRecord, which is what a payload decodes to.  The arithmetic
 between those fields is checked on every open; full semantic verification
 (re-running each transaction and comparing) is replay_verify.
 
-The header frame holds the format version: Store.create writes version 3,
-which has birth and transaction references.  A version-2 store has birth
-references only, a version-1 store neither, and each opens and appends as
-its own version.  decode_record's docstring holds the rules of both.
+The header frame holds the format version: Store.create writes version 4,
+version 3's records in z frames.  Version 3 has birth and transaction
+references, version 2 birth references only, version 1 neither; each opens
+and appends as its own version, in plain frames (decode_record).
 
 Open rebuilds the system from the deltas alone, so it checks each
 transaction but keeps it as its canonical text: the text is parsed only
@@ -84,7 +87,9 @@ __all__ = [
     "scan_frames",
 ]
 
-HEADER_VERSION = 3  # the format Store.create writes; versions 1 and 2 still open
+HEADER_VERSION = 4  # the format Store.create writes; versions 1 to 3 still open
+PACK_GATE = 256  # the shortest version-4 payload written compressed
+PACK_LEVEL = 1  # its zlib level
 # The fewest pairs of a transaction Store.append may refer to: its text is then
 # 4 * 16 + 1 characters or more, and one of fewer pairs costs no extra dumps.
 _REPEAT_PAIRS = 16
@@ -92,7 +97,7 @@ ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
 SYNC_POLICIES = ("fsync", "flush", "none")
 
-_HEADER = re.compile(rb"([0-9]+):([0-9a-f]{8}):")
+_HEADER = re.compile(rb"([0-9]+):([0-9a-f]{8})([:z])")
 _DIGITS = frozenset(b"0123456789")
 _HEX = frozenset(b"0123456789abcdef")
 
@@ -117,8 +122,12 @@ class StoreLocked(Exception):
 # frame codec ---------------------------------------------------------------
 
 
-def encode_frame(payload: bytes) -> bytes:
-    return b"%d:%08x:%s\n" % (len(payload), zlib.crc32(payload), payload)
+def encode_frame(payload: bytes, pack: bool = False) -> bytes:
+    """The frame of payload: with pack, one of PACK_GATE+ bytes is a z frame."""
+    flag = b":"
+    if pack and len(payload) >= PACK_GATE:
+        flag, payload = b"z", zlib.compress(payload, PACK_LEVEL)
+    return b"%d:%08x%s%s\n" % (len(payload), zlib.crc32(payload), flag, payload)
 
 
 @dataclass
@@ -126,17 +135,20 @@ class ScanResult:
     payloads: list[bytes]
     clean_end: int
     torn_offset: Optional[int]
+    packed: list[int]  # the offset of each z frame
 
 
 def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
-    """Split a file image into frame payloads.
+    """Split a file image into frame payloads, z frames inflated.
 
     A truncated final frame is reported as torn (clean_end marks the last
     complete frame) unless strict, in which case it is corruption.  Any
-    byte sequence that could not be a prefix of a well-formed frame, and
-    any complete frame whose checksum does not match, is corruption.
+    byte sequence that could not be a prefix of a well-formed frame, any
+    complete frame whose checksum does not match, and a z frame that is not
+    one zlib stream of PACK_GATE+ bytes of text, is corruption.
     """
     payloads: list[bytes] = []
+    packed: list[int] = []
     pos = 0
     n = len(data)
     width = len(str(n))  # digits of the longest length that can fit
@@ -144,7 +156,7 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
     def torn(at: int) -> ScanResult:
         if strict:
             raise StoreCorruption("incomplete final frame", at)
-        return ScanResult(payloads, at, at)
+        return ScanResult(payloads, at, at, packed)
 
     while pos < n:
         start = pos
@@ -152,7 +164,7 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
         if header is None:
             _check_header_prefix(data, start)
             return torn(start)
-        digits, crc_field = header.groups()
+        digits, crc_field, flag = header.groups()
         pos = header.end()
         # A length of more significant digits than `width` runs past the end
         # of the data, and int() refuses a field of over 4,300 digits.
@@ -171,9 +183,21 @@ def scan_frames(data: bytes, strict: bool = False) -> ScanResult:
 
         if zlib.crc32(payload) != int(crc_field, 16):
             raise StoreCorruption("checksum mismatch", start)
+        if flag == b"z":
+            packed.append(start)
+            inflate = zlib.decompressobj()
+            try:
+                payload = inflate.decompress(payload)
+            except zlib.error:
+                payload = None
+            # damaged data or check value, a stream cut short, bytes after its end
+            if payload is None or not inflate.eof or inflate.unused_data:
+                raise StoreCorruption("damaged compressed payload", start)
+            if len(payload) < PACK_GATE:
+                raise StoreCorruption("compressed payload under the size gate", start)
         payloads.append(payload)
 
-    return ScanResult(payloads, n, None)
+    return ScanResult(payloads, n, None, packed)
 
 
 def _check_header_prefix(data: bytes, start: int) -> None:
@@ -197,8 +221,8 @@ def _check_header_prefix(data: bytes, start: int) -> None:
     crc_end = pos + 8
     if any(b not in _HEX for b in data[pos:crc_end]):
         raise StoreCorruption("malformed checksum field", pos)
-    if crc_end < n and data[crc_end] != 0x3A:
-        raise StoreCorruption("':' expected after checksum", crc_end)
+    if crc_end < n and data[crc_end] not in b":z":
+        raise StoreCorruption("':' or 'z' expected after checksum", crc_end)
 
 
 def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
@@ -244,7 +268,7 @@ def decode_header(x: SExpr) -> KernelConfig:
         version, alloc_code, salt, step_budget = unchain(x)
     except ValueError:
         raise StoreCorruption("malformed header", 0) from None
-    if version not in (1, 2, HEADER_VERSION):
+    if version not in (1, 2, 3, HEADER_VERSION):
         raise StoreCorruption(f"unsupported store version {version}", 0)
     if alloc_code not in ALLOC_NAMES or not is_atom(salt) or not is_atom(step_budget):
         raise StoreCorruption("malformed header", 0)
@@ -437,11 +461,14 @@ def _shared_birth(message, last_birth: list) -> SExpr:
 
 @dataclass
 class RecoveryReport:
-    """What open() found: frame count, and whether a torn tail was dropped."""
+    """What open() found: frame count, any torn tail dropped, format version
+    and z frame count."""
 
     records: int
     torn_offset: Optional[int]
     dropped_bytes: int
+    version: int
+    packed: int
 
     @property
     def clean(self) -> bool:
@@ -501,9 +528,11 @@ def read_store(path: str, strict: bool = False) -> StoreSnapshot:
     return _read_store(path, strict)[0]
 
 
-def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list], Optional[tuple]]:
-    """read_store, and the births and repeat a Store of it starts from (see
-    Store)."""
+def _read_store(
+    path: str, strict: bool
+) -> tuple[StoreSnapshot, Optional[list], Optional[tuple], bool]:
+    """read_store, and the births, repeat and pack a Store of it starts from
+    (see Store)."""
     with open(path, "rb") as fh:
         data = fh.read()
     scan = scan_frames(data, strict=strict)
@@ -512,6 +541,8 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list],
     header = _parse_payload(scan.payloads[0], 0)
     config = decode_header(header)
     version = header[0]
+    if scan.packed and version < 4:
+        raise StoreCorruption(f"compressed frame in a version-{version} store", scan.packed[0])
 
     records: list[TxRecord] = []
     k_len = 0
@@ -536,9 +567,11 @@ def _read_store(path: str, strict: bool) -> tuple[StoreSnapshot, Optional[list],
                 text = tx if tx.__class__ is str else dumps(tx)
                 if len(text) > 4 * _REPEAT_PAIRS and text.count("[") >= _REPEAT_PAIRS:
                     repeat = repeat if text == repeat[1] else (i, text, _UNCHECKED)
-    report = RecoveryReport(len(records), scan.torn_offset, len(data) - scan.clean_end)
+    report = RecoveryReport(
+        len(records), scan.torn_offset, len(data) - scan.clean_end, version, len(scan.packed)
+    )
     births = None if version == 1 else last_birth
-    return StoreSnapshot(config, tuple(records), report), births, repeat
+    return StoreSnapshot(config, tuple(records), report), births, repeat, version >= 4
 
 
 _UNCHECKED = object()  # a repeat's value when its text must be compared
@@ -588,7 +621,8 @@ class Store:
     written as a reference to record seq (decode_record).  It depends on the
     transactions' texts alone, so open seeds it from the read.  value is
     that transaction if it holds exact ints and tuples only, which cannot
-    change.  Both advance only once a frame is written.
+    change.  Both advance only once a frame is written.  pack, true from
+    version 4 on, writes payloads of PACK_GATE+ bytes as z frames.
     """
 
     def __init__(
@@ -601,6 +635,7 @@ class Store:
         group_size: int,
         births: Optional[list],
         repeat: Optional[tuple],
+        pack: bool,
     ):
         self.path = path
         self.config = config
@@ -614,6 +649,7 @@ class Store:
         self._torn: Optional[int] = None  # where a torn tail left by open starts
         self._births = births
         self._repeat = repeat
+        self._pack = pack
 
     @classmethod
     def create(
@@ -632,7 +668,7 @@ class Store:
         fh.write(encode_frame(dumps(encode_header(config)).encode("ascii")))
         fh.flush()
         os.fsync(fh.fileno())
-        return cls(path, config, [], fh, sync, group_size, [None], _NO_REPEAT)
+        return cls(path, config, [], fh, sync, group_size, [None], _NO_REPEAT, True)
 
     @classmethod
     def open(
@@ -654,9 +690,9 @@ class Store:
         handle = open(os.open(path, os.O_WRONLY | os.O_APPEND), "ab")
         try:
             _take_writer_lock(handle, path)
-            snapshot, births, repeat = _read_store(path, strict)
+            snapshot, *writer = _read_store(path, strict)
             records = list(snapshot.records)
-            store = cls(path, snapshot.config, records, handle, sync, group_size, births, repeat)
+            store = cls(path, snapshot.config, records, handle, sync, group_size, *writer)
             store._torn = snapshot.report.torn_offset
             if cut:
                 store.cut_torn_tail()
@@ -707,7 +743,7 @@ class Store:
             raise ValueError(f"record {seq} holds a non-value; not written to {self.path}")
         payload = text.encode("ascii")
         try:
-            self._fh.write(encode_frame(payload))
+            self._fh.write(encode_frame(payload, self._pack))
         except BaseException:
             self._abandon()
             raise

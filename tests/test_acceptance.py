@@ -154,7 +154,10 @@ def result_text(record):
 
 
 def walk_frames(data):
-    """[(frame_start, payload_start, payload)] for a clean store image."""
+    """[(frame_start, payload_start, payload)] for a clean store image.
+
+    payload is the frame's stored bytes: for a frame flagged "z" in place of
+    the second ':' (data[payload_start - 1]), a zlib stream of the text."""
     frames = []
     pos = 0
     while pos < len(data):
@@ -317,23 +320,29 @@ def test_criterion_03_replay_determinism(tmp_path):
     record_frames = frames[1:]
     mutant = tmp_path / "mutant.store"
     crc_caught = 0
+    packed_frames = 0
     for m in range(MUTANTS):
-        start, payload_start, payload = record_frames[rich_rng.randrange(len(record_frames))]
+        start, payload_start, stored = record_frames[rich_rng.randrange(len(record_frames))]
+        packed = data[payload_start - 1] == ord("z")
+        payload = zlib.decompress(stored) if packed else stored
         offset, span = delta_span(payload)
         pos = offset + rich_rng.randrange(span)
         original = payload[pos]
         replacement = rich_rng.choice([c for c in _CANON if c != original])
-        image = bytearray(data)
-        image[payload_start + pos] = replacement
+        patched = payload[:pos] + bytes([replacement]) + payload[pos + 1 :]
+        patched = zlib.compress(patched, 1) if packed else patched
         if m % 4 == 0:
             crc_caught += 1  # frame checksum left stale: the scan itself objects
+            crc = data[payload_start - 9 : payload_start - 1]
         else:
-            patched = bytes(image[payload_start : payload_start + len(payload)])
-            image[payload_start - 9 : payload_start - 1] = b"%08x" % zlib.crc32(patched)
-        mutant.write_bytes(bytes(image))
+            crc = b"%08x" % zlib.crc32(patched)
+        frame = b"%d:%s%c%s\n" % (len(patched), crc, data[payload_start - 1], patched)
+        packed_frames += packed
+        mutant.write_bytes(data[:start] + frame + data[payload_start + len(stored) + 1 :])
         code = cli.main(["verify", "--store", str(mutant)])
         assert code == 1, f"mutant {m} at payload byte {pos} verified clean"
 
+    assert 0 < packed_frames < MUTANTS  # both kinds of frame were mutated
     print(
         f"[criterion 3] {SEQUENCES} sequences replayed bit-exactly; "
         f"{MUTANTS} delta mutants rejected ({crc_caught} by checksum, "

@@ -14,7 +14,7 @@ from sendkernel.durability import DurableSystem, read_store
 from sendkernel.patterns import ECHO_PROGRAM, creator, delegation_transactions, poke
 from sendkernel.sexpr import dumps
 
-from test_durability import birth_references, transaction_references
+from test_durability import birth_references, create_versioned, transaction_references
 
 
 def outward_tx(instance_key, obj, message):
@@ -237,6 +237,20 @@ def test_recover_reports_torn_tail(delegation_store, capsys):
     code, out, _ = run_main(capsys, ["verify", "--store", str(store)])
     assert code == EXIT_OK
     assert "verified 5 transactions" in out
+
+
+@pytest.mark.parametrize("version, packed", [(3, 0), (4, 2)])
+def test_recover_reports_the_format_and_its_compressed_frames(tmp_path, capsys, version, packed):
+    store = tmp_path / "k.store"
+    with create_versioned(str(store), None, version) as ds:
+        for tx in (creator(*[ECHO_PROGRAM] * 4), poke(14, 1), creator(*[ECHO_PROGRAM] * 6)):
+            ds.submit(tx)
+    code, out, _ = run_main(capsys, ["recover", "--store", str(store)])
+    assert code == EXIT_OK
+    assert out.splitlines()[-2:] == [
+        "log length 21",
+        f"format version {version}, {packed} of 4 frames compressed",
+    ]
 
 
 def test_a_store_held_by_a_writer_is_refused_but_readable(delegation_store, capsys):

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from sendkernel import ABORT, KernelConfig
 from sendkernel.durability import (
     _SHARED_TEXT,
+    PACK_GATE,
+    PACK_LEVEL,
     Divergence,
     DurableSystem,
     RecoveryReport,
@@ -159,7 +161,7 @@ class TestHeaderCodec:
         assert decode_header(encode_header(config)) == config
 
     def test_frozen_shape(self):
-        assert encode_header(KernelConfig("seq", 0, 1000)) == (3, (0, (0, (1000, 0))))
+        assert encode_header(KernelConfig("seq", 0, 1000)) == (4, (0, (0, (1000, 0))))
         for version in (1, 2, 3):
             assert decode_header((version, (0, (0, (1000, 0))))) == KernelConfig("seq", 0, 1000)
 
@@ -167,7 +169,7 @@ class TestHeaderCodec:
         "bad",
         [
             0,
-            (4, (0, (0, (1000, 0)))),  # unknown version
+            (5, (0, (0, (1000, 0)))),  # unknown version
             (1, (9, (0, (1000, 0)))),  # unknown allocator
             (1, (0, ((1, 1), (1000, 0)))),  # salt not an atom
             (1, (0, (0, (0, 0)))),  # zero budget
@@ -267,8 +269,8 @@ class TestRecordCodec:
         assert (info.value.reason, info.value.offset) == (reason, 42)
 
 
-def build_store(path, txs, config=None, sync="none", version=3):
-    if version == 3:
+def build_store(path, txs, config=None, sync="none", version=4):
+    if version == 4:
         ds = DurableSystem.create(str(path), config, sync=sync)
     else:
         ds = create_versioned(str(path), config, version)
@@ -1114,7 +1116,7 @@ PINNED_DIGESTS_V2 = {
 }
 
 
-# The same stores written as version 3 by Store.create.  None of them repeats
+# The same stores written as version 3.  None of them repeats
 # a transaction of 16 pairs or more, so past the header they are the
 # version-2 bytes.
 PINNED_DIGESTS_V3 = {
@@ -1143,10 +1145,10 @@ def sha256_of(path):
 
 
 def create_versioned(path, config, version):
-    """DurableSystem.create for version 3; for an older version, a header
+    """DurableSystem.create for version 4; for an older version, a header
     frame of that version written by hand and then opened, so that it
     appends as that version."""
-    if version == 3:
+    if version == 4:
         return DurableSystem.create(path, config, sync="none")
     with open(path, "xb") as fh:
         header = (version, encode_header(config or KernelConfig())[1])
@@ -1154,7 +1156,7 @@ def create_versioned(path, config, version):
     return DurableSystem.open(path, sync="none")[0]
 
 
-def pinned_stores(directory, version=3):
+def pinned_stores(directory, version=4):
     """Write every fixture workload, and one routed origin/peer pair, under
     both allocators; return each store's sha256 by name."""
     digests = {}
@@ -1186,6 +1188,54 @@ def test_store_bytes_are_pinned(tmp_path):
         directory = tmp_path / f"v{version}"
         directory.mkdir()
         assert pinned_stores(str(directory), version) == pinned
+
+
+# The same stores written as version 4 by Store.create: version 3's records,
+# each payload of PACK_GATE bytes or more stored as one zlib stream.  Those
+# bytes are zlib's, so the digests hold under the zlib build they were taken
+# with; test_version_4_payloads_are_version_3s holds under any.
+PINNED_ZLIB = "1.2.13"
+PINNED_DIGESTS_V4 = {
+    "delegation_seq": "636d1aeebefb409bf2a6e6e229605373ffcdc2526c8466531c7155bb98d485e2",
+    "auction_seq": "bb7d9b2632e1a1f883f901fb83f89128e46bc98627bd241951037044dbc3f9f5",
+    "escrow_seq": "2f82f160f4c289456c3a35d80da7f0e2db5c5e0853d7ffc5002bd3e025d33e02",
+    "clone_seq": "22734d91b28d4c8908daf57c92238f5d8a9b3f2e999751e46665708ca8642d98",
+    "bootloader_seq": "002bd136f50db6e40dfc261e5cf202651abfc7f9658cd2c4c9b8fd0f72fee3c9",
+    "folds_seq": "48341fa20462b9a08229822ca392369f2580e8712f6d0a2378f1a39cec779c81",
+    "routed_origin_seq": "77fd39045f0b54085cabeb841930da5a7ac9a5549e592fb6e29fb4aee68d49e9",
+    "routed_peer_seq": "ec8a733df92ab5c78909337d3457591dae798e0a06621ecadc8dc13b502e9cc7",
+    "delegation_hash": "1d7be7203b5d4fc0b5098a045b4017a1c2be4dea52eae9b3817ecb15a65ea2b6",
+    "auction_hash": "fd7c204b56dd3d2976d00539da592b1e609795bcb792af9dd67f85c15ced5de9",
+    "escrow_hash": "c41cfedbefc8ee0ba469014d826eb909e1d29f8967899e82c661e60c9a6e869b",
+    "clone_hash": "17a61501284942618bf0b5bc086e8a67cb1cdb3ef823c110a77cc33bc06590b9",
+    "bootloader_hash": "51470b5481be5e2bfd0cc73857154692bfb92194de308b822c5a62b1296701b1",
+    "folds_hash": "217a30ca42371e02fc9e7f2008c6bc714f9d4abef38ab168100edf872db17948",
+    "routed_origin_hash": "4e7c6a5f15783129867c75fe309194255a3eb785ac0be83f9f978159be7bb09e",
+    "routed_peer_hash": "9e142ae92e63eb4a74d17c307fec66f2ed2f1f0a80d979302ea8dc5972828704",
+}
+
+
+def test_version_4_payloads_are_version_3s(tmp_path):
+    for version in (3, 4):
+        (tmp_path / f"v{version}").mkdir()
+        pinned_stores(str(tmp_path / f"v{version}"), version)
+    stores = sorted((tmp_path / "v3").glob("*.store"))
+    packed = 0
+    for v3 in stores:
+        with open(tmp_path / "v4" / v3.name, "rb") as fh:
+            scan = scan_frames(fh.read(), strict=True)
+        header, *records = payloads_of(v3, strict=True)
+        assert scan.payloads == [b"[4," + header[3:], *records], v3.name
+        packed += len(scan.packed)
+    assert len(stores) == 16 and packed > 0
+
+
+@pytest.mark.skipif(
+    zlib.ZLIB_RUNTIME_VERSION != PINNED_ZLIB,
+    reason=f"version-4 bytes pinned under zlib {PINNED_ZLIB}, not {zlib.ZLIB_RUNTIME_VERSION}",
+)
+def test_version_4_bytes_are_pinned(tmp_path):
+    assert pinned_stores(str(tmp_path), 4) == PINNED_DIGESTS_V4
 
 
 class TestUnboundedValues:
@@ -1588,6 +1638,141 @@ class TestFormat3:
             assert replay_verify(read_store(paths[0], strict=True)) is None
             with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                 assert a.read() == b.read()
+
+
+def z_frame(stored):
+    """A frame flagged z around stored bytes, whatever they hold, with a valid crc."""
+    return b"%d:%08xz%s\n" % (len(stored), zlib.crc32(stored), stored)
+
+
+class TestFormat4:
+    """A version-4 payload of PACK_GATE bytes or more is stored as one zlib
+    stream at level PACK_LEVEL, in a frame flagged z in place of its second
+    ':'; the crc covers the stored bytes, and scan_frames inflates them."""
+
+    TXS = [
+        creator(P), LONG_TX, SHORT_TX, creator(P, Q, P, Q), LONG_TX, TX_ABORT, PREFIX_TX, creator(Q)
+    ]
+
+    def frames(self, path):
+        """The store's payloads and the frames Store.create's writer makes of
+        them, checked against the file."""
+        payloads = payloads_of(path, strict=True)
+        frames = [encode_frame(q, pack=True) for q in payloads]
+        assert b"".join(frames) == path.read_bytes()
+        return payloads, frames
+
+    def test_the_transactions_set_up_each_case(self, tmp_path):
+        p = tmp_path / "s.log"
+        build_store(p, self.TXS)
+        payloads, frames = self.frames(p)
+        packed = [len(q) >= PACK_GATE for q in payloads]
+        assert any(packed) and not all(packed[1:])
+        flags = [f[f.index(b":") + 9 : f.index(b":") + 10] for f in frames]
+        assert flags == [b"z" if z else b":" for z in packed]
+        assert scan_frames(p.read_bytes()).packed == [
+            len(b"".join(frames[:i])) for i, z in enumerate(packed) if z
+        ]
+        for n in (PACK_GATE - 1, PACK_GATE):  # the gate is inclusive
+            frame = encode_frame(b"7" * n, pack=True)
+            assert (b"z" in frame[:20]) == (n >= PACK_GATE)
+            assert scan_frames(frame).payloads == [b"7" * n]
+
+    def test_every_offset_recovers_a_prefix_that_appends(self, tmp_path):
+        p = tmp_path / "s.log"
+        build_store(p, self.TXS)
+        payloads, frames = self.frames(p)
+        ends = [len(b"".join(frames[: i + 1])) for i in range(len(frames))]
+        image = p.read_bytes()
+        live = read_store(str(p), strict=True).records
+        want = []  # what one session writes with LONG_TX after each prefix
+        for n in range(len(self.TXS) + 1):
+            build_store(tmp_path / f"{n}.log", self.TXS[:n] + [LONG_TX])
+            want.append((tmp_path / f"{n}.log").read_bytes())
+        q = tmp_path / "cut.log"
+        for cut in range(ends[0], len(image) + 1):
+            q.write_bytes(image[:cut])
+            ds, report = DurableSystem.open(str(q), sync="none")
+            n = len(ds.system.records)
+            assert n == sum(end <= cut for end in ends[1:]), cut
+            assert report.torn_offset == (None if cut in ends else ends[n]), cut
+            with ds:
+                assert ds.system.records == list(live[:n]), cut
+                ds.submit(LONG_TX)
+            assert q.read_bytes() == want[n], cut
+            back = read_store(str(q), strict=True)
+            assert list(back.records[:n]) == list(live[:n]), cut
+            assert replay_verify(back) is None, cut
+
+    @pytest.mark.parametrize("damage", ["flipped", "cut", "trailing"])
+    def test_a_damaged_stream_is_corruption_at_its_frame(self, tmp_path, damage):
+        p = tmp_path / "s.log"
+        build_store(p, self.TXS)
+        payloads, frames = self.frames(p)
+        i = 2  # record 1, LONG_TX
+        stored = zlib.compress(payloads[i], PACK_LEVEL)
+        assert frames[i] == z_frame(stored)
+        before, after = b"".join(frames[:i]), b"".join(frames[i + 1 :])
+        flips = [bytes([b ^ 1]) for b in stored]
+        damaged = {
+            "flipped": [stored[:k] + flips[k] + stored[k + 1 :] for k in range(len(stored))],
+            "cut": [stored[:k] for k in range(len(stored))],
+            "trailing": [stored + b"\0", stored + stored, stored + zlib.compress(b"", PACK_LEVEL)],
+        }[damage]
+        for bad in damaged:
+            p.write_bytes(before + z_frame(bad) + after)
+            for strict in (False, True):
+                with pytest.raises(StoreCorruption) as info:
+                    read_store(str(p), strict)
+                reason = "damaged compressed payload"
+                assert (info.value.reason, info.value.offset) == (reason, len(before))
+            with pytest.raises(StoreCorruption):
+                Store.open(str(p), sync="none")
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_z_frame_below_version_4_is_corruption(self, tmp_path, version):
+        p = tmp_path / "s.log"
+        build_store(p, self.TXS[:3], version=version)
+        with DurableSystem.open(str(p), sync="none")[0] as ds:  # appends as its version
+            for tx in self.TXS[3:]:
+                ds.submit(tx)
+        payloads = payloads_of(p, strict=True)
+        frames = [encode_frame(q) for q in payloads]
+        assert b"".join(frames) == p.read_bytes()  # plain frames only
+        assert sum(len(q) >= PACK_GATE for q in payloads) > 1
+        before = b"".join(frames[:2])
+        p.write_bytes(before + encode_frame(payloads[2], pack=True) + b"".join(frames[3:]))
+        assert scan_frames(p.read_bytes()).payloads == payloads
+        reason = f"compressed frame in a version-{version} store"
+        for strict in (False, True):
+            with pytest.raises(StoreCorruption) as info:
+                read_store(str(p), strict)
+            assert (info.value.reason, info.value.offset) == (reason, len(before))
+        with pytest.raises(StoreCorruption):
+            Store.open(str(p), sync="none")
+
+    def test_a_z_frame_under_the_gate_is_corruption(self, tmp_path):
+        p = tmp_path / "s.log"
+        build_store(p, self.TXS[:3])
+        payloads, frames = self.frames(p)
+        assert len(payloads[3]) < PACK_GATE  # record 2, SHORT_TX
+        before = b"".join(frames[:3])
+        p.write_bytes(before + z_frame(zlib.compress(payloads[3], PACK_LEVEL)))
+        for strict in (False, True):
+            with pytest.raises(StoreCorruption) as info:
+                read_store(str(p), strict)
+            reason = "compressed payload under the size gate"
+            assert (info.value.reason, info.value.offset) == (reason, len(before))
+
+    def test_a_reopen_after_every_record_changes_no_byte(self, tmp_path):
+        one, reopened = tmp_path / "one.log", tmp_path / "reopened.log"
+        build_store(one, self.TXS)
+        DurableSystem.create(str(reopened), sync="none").close()
+        for tx in self.TXS:
+            with DurableSystem.open(str(reopened), sync="none")[0] as ds:
+                ds.submit(tx)
+        assert reopened.read_bytes() == one.read_bytes()
+        assert read_store(str(one)).report.packed == 4
 
 
 class TestOneRecordList:
