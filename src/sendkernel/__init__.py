@@ -6,7 +6,7 @@ trace.  The committed transaction sequence fully determines kernel state,
 so replay is verification.
 """
 
-from .sexpr import SExpr, ParseError, atom, pair, is_atom, is_pair, equal, dumps, parse
+from .sexpr import SExpr, ParseError, check_value, is_atom, is_pair, equal, dumps, parse
 from .state import (
     ABORT,
     Effects,
@@ -64,8 +64,7 @@ from .patterns import (
 __all__ = [
     "SExpr",
     "ParseError",
-    "atom",
-    "pair",
+    "check_value",
     "is_atom",
     "is_pair",
     "equal",

@@ -59,9 +59,7 @@ from .sexpr import (
     chain,
     dumps,
     equal,
-    in_canonical_alphabet,
     is_atom,
-    pair_nodes,
     parse,
     scan_split,
     unchain,
@@ -90,8 +88,7 @@ __all__ = [
 HEADER_VERSION = 4  # the format Store.create writes; versions 1 to 3 still open
 PACK_GATE = 256  # the shortest version-4 payload written compressed
 PACK_LEVEL = 1  # its zlib level
-# The fewest pairs of a transaction Store.append may refer to: its text is then
-# 4 * 16 + 1 characters or more, and one of fewer pairs costs no extra dumps.
+# The fewest pairs of a transaction Store.append may refer to (_long).
 _REPEAT_PAIRS = 16
 ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
@@ -565,8 +562,8 @@ def _read_store(
             tx = record._tx
             if repeat is not None and tx is not repeat[1]:  # as Store.append moves it on
                 text = tx if tx.__class__ is str else dumps(tx)
-                if len(text) > 4 * _REPEAT_PAIRS and text.count("[") >= _REPEAT_PAIRS:
-                    repeat = repeat if text == repeat[1] else (i, text, _UNCHECKED)
+                if text != repeat[1] and _long(text):
+                    repeat = (i, text, tx)
     report = RecoveryReport(
         len(records), scan.torn_offset, len(data) - scan.clean_end, version, len(scan.packed)
     )
@@ -574,8 +571,14 @@ def _read_store(
     return StoreSnapshot(config, tuple(records), report), births, repeat, version >= 4
 
 
-_UNCHECKED = object()  # a repeat's value when its text must be compared
-_NO_REPEAT = (None, None, _UNCHECKED)
+_NO_REPEAT = (None, None, None)
+
+
+def _long(text: str) -> bool:
+    """Whether a transaction's canonical text has _REPEAT_PAIRS+ pairs, one
+    "[" each; it then has 4 * _REPEAT_PAIRS + 1 characters or more, which
+    the length test checks first."""
+    return len(text) > 4 * _REPEAT_PAIRS and text.count("[") >= _REPEAT_PAIRS
 
 
 def _check_policy(sync: str, group_size: int) -> None:
@@ -615,14 +618,18 @@ class Store:
     settles the tail.  A failed write, flush or fsync cuts the file back
     to its last settled frame and closes the store until it is reopened.
 
+    Values are checked once, at admission (Kernel.submit), and the kernel
+    builds every other field from them, so the store checks none.
+
     births is encode_record's last_birth, None for a version-1 store.
-    repeat, None below version 3, is (seq, text, value) of the last
-    transaction of _REPEAT_PAIRS+ pairs written in full: one of that text is
-    written as a reference to record seq (decode_record).  It depends on the
-    transactions' texts alone, so open seeds it from the read.  value is
-    that transaction if it holds exact ints and tuples only, which cannot
-    change.  Both advance only once a frame is written.  pack, true from
-    version 4 on, writes payloads of PACK_GATE+ bytes as z frames.
+    repeat, None below version 3, is (seq, text, tx) of the last
+    transaction of _REPEAT_PAIRS+ pairs written in full (_long): one of that
+    text is written as a reference to record seq (decode_record).  It
+    depends on the transactions' texts alone, so open seeds it from the
+    read.  tx is the object written, or what the read kept; an admitted
+    value cannot change, so the same object has the same text.  Both
+    advance only once a frame is written.  pack, true from version 4 on,
+    writes payloads of PACK_GATE+ bytes as z frames.
     """
 
     def __init__(
@@ -711,11 +718,8 @@ class Store:
     def append(self, tx: SExpr, outcome: ExecResult, k_len_after: int) -> None:
         """Write the frame of the next record; records grows when it is applied.
 
-        A record holding anything but naturals and pairs (True, -5, 1.5,
-        None, a tuple of other than two items) raises ValueError and writes
-        nothing: its frame could not be read back.  Only the transaction
-        needs the arity check, since the kernel builds every other field
-        from it and from pairs of its own.
+        tx must be a value, as Kernel.submit admits it (sexpr.check_value):
+        the store writes its canonical text unchecked.
         """
         if self._fh.closed:
             raise ValueError(f"store {self.path} is closed; reopen it to append")
@@ -723,24 +727,11 @@ class Store:
             self.cut_torn_tail()
         seq, repeat = self._seq, self._repeat
         births = None if self._births is None else list(self._births)
-        if repeat is not None and tx is repeat[2]:
-            nodes, tx_text = None, repeat[1]
-        else:
-            nodes = pair_nodes(tx)
-            if nodes is None:
-                raise ValueError(f"record {seq} holds a non-value; not written to {self.path}")
-            # Only a transaction of enough pairs is written apart, and so
-            # compared: the others cost one dumps, as in version 2.
-            tx_text = dumps(tx) if repeat is not None and len(nodes) >= _REPEAT_PAIRS else None
-        if tx_text is None:
-            text = dumps(encode_record(seq, tx, outcome, k_len_after, births))
-        else:  # dumps of the record, with the transaction's text at hand
-            refers = tx_text == repeat[1]
-            end = (repeat[0], 0) if refers else 0
-            record = encode_record(seq, 0 if refers else tx, outcome, k_len_after, births, end)
-            text = f"[{seq},[{'0' if refers else tx_text},{dumps(record[1][1])}]]"
-        if not in_canonical_alphabet(text):
-            raise ValueError(f"record {seq} holds a non-value; not written to {self.path}")
+        tx_text = repeat[1] if repeat is not None and tx is repeat[2] else dumps(tx)
+        refers = repeat is not None and tx_text == repeat[1]
+        end = (repeat[0], 0) if refers else 0
+        tail = encode_record(seq, 0, outcome, k_len_after, births, end)[1][1]
+        text = f"[{seq},[{'0' if refers else tx_text},{dumps(tail)}]]"
         payload = text.encode("ascii")
         try:
             self._fh.write(encode_frame(payload, self._pack))
@@ -749,9 +740,8 @@ class Store:
             raise
         self._seq += 1
         self._births = births
-        if tx_text is not None and not refers:
-            exact = all(node.__class__ is tuple for node in nodes)
-            self._repeat = (seq, tx_text, tx if exact else _UNCHECKED)
+        if repeat is not None and not refers and _long(tx_text):
+            self._repeat = (seq, tx_text, tx)
         self._pending_syncs += 1
         if self._pending_syncs >= self._group_size:
             self.settle()

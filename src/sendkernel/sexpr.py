@@ -1,7 +1,8 @@
 """S-expression values over unbounded naturals.
 
 A value is either an atom (a non-negative Python int, arbitrary precision)
-or an ordered pair of two values (a 2-tuple).  The canonical text form is
+or an ordered pair of two values (a 2-tuple); check_value refuses anything
+else, such as True, -5 or a list.  The canonical text form is
 
     sexpr := NAT | "[" sexpr "," sexpr "]"
 
@@ -46,8 +47,7 @@ SExpr = Union[int, tuple]
 __all__ = [
     "SExpr",
     "ParseError",
-    "atom",
-    "pair",
+    "check_value",
     "is_atom",
     "is_pair",
     "equal",
@@ -55,7 +55,6 @@ __all__ = [
     "parse",
     "scan_split",
     "in_canonical_alphabet",
-    "pair_nodes",
     "chain",
     "unchain",
 ]
@@ -77,26 +76,37 @@ def is_pair(x: SExpr) -> bool:
     return isinstance(x, tuple)
 
 
-def atom(n: int) -> int:
-    """Validated atom constructor for values arriving from outside the kernel."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"atom requires an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"atom requires a natural number, got {n}")
-    return n
+def check_value(x) -> int:
+    """The number of pairs in x; ValueError unless every node of x is an
+    exact int of at least 0 or an exact tuple of two items.
 
-
-def pair(head: SExpr, tail: SExpr) -> tuple:
-    return (head, tail)
+    dumps and == take True, 1.0 and int subclasses for ints and a list for
+    a tuple, and the interpreter does not, so only such values run as their
+    text reads back.  One breadth-first pass with no recursion, so a value
+    of any depth is checked.
+    """
+    nodes = [x] if x.__class__ is tuple else []
+    if nodes or (x.__class__ is int and x >= 0):
+        try:
+            for head, tail in nodes:  # unpacking checks the length
+                if head.__class__ is tuple:
+                    nodes.append(head)
+                elif head.__class__ is not int or head < 0:
+                    break
+                if tail.__class__ is tuple:
+                    nodes.append(tail)
+                elif tail.__class__ is not int or tail < 0:
+                    break
+            else:
+                return len(nodes)
+        except ValueError:  # a tuple of other than two items
+            pass
+    raise ValueError("not a value: a part is neither an int >= 0 nor a 2-tuple")
 
 
 def equal(a: SExpr, b: SExpr) -> bool:
     """Structural equality: C's tuple comparison, then a worklist walk for
-    values nested past the recursion limit.
-
-    The walk checks lengths, so nested lists compare too: a list of three
-    items never equals a pair.
-    """
+    values nested past the recursion limit."""
     try:
         return a == b
     except RecursionError:
@@ -110,7 +120,7 @@ def equal(a: SExpr, b: SExpr) -> bool:
             if not isinstance(y, int) or x != y:
                 return False
         else:
-            if isinstance(y, int) or len(x) != len(y):
+            if isinstance(y, int):
                 return False
             stack.append((x[0], y[0]))
             stack.append((x[1], y[1]))
@@ -175,23 +185,6 @@ def in_canonical_alphabet(text: str) -> bool:
     for a remainder is 3x faster than a regex.
     """
     return text.isascii() and not text.encode("ascii").translate(None, _CANONICAL_BYTES)
-
-
-def pair_nodes(x) -> Optional[list]:
-    """The parts of x that are not ints, if each unpacks to two items, else
-    None.  dumps writes one "[" for each.  Behind in_canonical_alphabet, a
-    list leaves naturals and pairs only: dumps writes (1, 2, 3) and () as
-    "[1,2,3]" and "[]", which parse refuses."""
-    nodes = [x] if x.__class__ is not int else []
-    try:
-        for head, tail in nodes:  # breadth-first; unpacking checks the length
-            if head.__class__ is not int:
-                nodes.append(head)
-            if tail.__class__ is not int:
-                nodes.append(tail)
-    except (TypeError, ValueError):  # not iterable, or not two items
-        return None
-    return nodes
 
 
 def parse(text: str) -> SExpr:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .dispatch import EXTERNAL, alloc_sequential, builtin, make_hash_allocator
 from .interpreter import DEFAULT_STEP_BUDGET, run
-from .sexpr import SExpr, is_pair
+from .sexpr import SExpr, check_value, is_pair
 from .state import (
     ABORT,
     Effects,
@@ -32,6 +32,9 @@ from .state import (
 __all__ = ["KernelConfig", "ExecResult", "OnCommit", "Kernel", "SystemState"]
 
 ALLOCATOR_KINDS = ("seq", "hash")
+# Kernel.submit does not walk again the last transaction of this many pairs
+# or more that passed check_value; shorter ones in between leave it.
+_REMEMBERED_PAIRS = 16
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,7 @@ class Kernel:
             self.alloc_fn = alloc_sequential
         else:
             self.alloc_fn = make_hash_allocator(self.config.salt)
+        self._passed = None  # see _REMEMBERED_PAIRS
 
     def execute(self, kstate: KernelState, k_len: int, tx: SExpr) -> ExecResult:
         """Run [p, i] against the prefix kstate[:k_len]; apply nothing.
@@ -145,11 +149,17 @@ class Kernel:
     ) -> TxRecord:
         """Admit one transaction: commit its effects or none of them.
 
-        This is the one admission path.  on_commit, if given, sees
-        (tx, outcome, k_len_after) before the outcome is applied, so a
-        durable store writes its frame first and an on_commit that raises
-        leaves the system untouched.
+        This is the one admission path, and it admits values only: a tx
+        holding True, -5, 1.0, None, a list or a tuple of other than two
+        items raises ValueError (sexpr.check_value) before anything runs, so
+        what runs is what its canonical text reads back as.  A value cannot
+        change, so an object that passed passes again (_REMEMBERED_PAIRS).
+        on_commit, if given, sees (tx, outcome, k_len_after) before the
+        outcome is applied, so a durable store writes its frame first and
+        an on_commit that raises leaves the system untouched.
         """
+        if tx is not self._passed and check_value(tx) >= _REMEMBERED_PAIRS:
+            self._passed = tx
         outcome = self.execute(system.kernel, system.kernel.size, tx)
         if on_commit is not None:
             delta = len(outcome.entries) if outcome.committed else 0
