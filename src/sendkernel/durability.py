@@ -90,6 +90,7 @@ PACK_GATE = 256  # the shortest version-4 payload written compressed
 PACK_LEVEL = 1  # its zlib level
 # The fewest pairs of a transaction Store.append may refer to (_long).
 _REPEAT_PAIRS = 16
+_STR_BOUND = 10**640  # str writes atoms below under any int_max_str_digits (0 or 640+)
 ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
 SYNC_POLICIES = ("fsync", "flush", "none")
@@ -277,49 +278,46 @@ def decode_header(x: SExpr) -> KernelConfig:
 
 def encode_record(
     seq: int,
-    tx: SExpr,
+    tx_text: str,
     outcome: ExecResult,
     k_len_after: int,
     last_birth: Optional[list] = None,
-    end: SExpr = 0,
-) -> SExpr:
-    """chain() of the six fields, of the rows and of each row, written out.
+    ref: Optional[int] = None,
+) -> str:
+    """The canonical text of a record payload, written row by row.
 
-    last_birth, from version 2 on, is [the last birth program written or
-    None]: a birth that is or equals it is written as a reference (see
-    decode_record), and the list moves on to each birth.  end is 0, or
-    [ref,0] with tx 0 for a record that refers to record ref.
+    [seq,[tx,[tagged,[delta,[xi,[k_len_after,end]]]]]], each row of delta
+    and xi its three fields chained.  last_birth, from version 2 on, is
+    [the last birth program written or None]: a birth that is or equals it
+    is written [ident,[caller,0]] (decode_record), and the list moves on to
+    each birth.  end is 0, or [ref,0] with tx_text "0" for a record whose
+    transaction is record ref's.  str writes the message atoms below
+    _STR_BOUND, dumps every other value.
     """
-    tagged = (1, outcome.result) if outcome.committed else 0
-    delta = xi = 0
-    for receiver, caller, message in reversed(outcome.entries):
-        if receiver == KERNEL_IDENTITY and last_birth is not None:  # a birth may follow
-            delta = _referring_delta(outcome.entries, last_birth)
-            break
-        delta = ((receiver, (caller, (message, 0))), delta)
-    for sender, target, message in reversed(outcome.externals):
-        xi = ((sender, (target, (message, 0))), xi)
-    return (seq, (tx, (tagged, (delta, (xi, (k_len_after, end))))))
-
-
-def _referring_delta(entries: list, last_birth: list) -> SExpr:
-    """encode_record's delta rows when each birth may refer to the one before."""
-    rows = []
-    program = last_birth[0]
+    refer = last_birth is not None
+    program = last_birth[0] if refer else None
     created = None  # the identity the previous row created, if any
-    for receiver, caller, message in entries:
-        tail = (message, 0)
-        if receiver == created:
+    rows = []
+    for receiver, caller, message in outcome.entries:
+        if receiver == created and refer:  # a birth row
             if message is program or equal(message, program):
-                tail = 0
+                rows.append(f"[[{receiver},[{caller},0]],")
+                program, created = message, None
+                continue
             program = message
-        rows.append((receiver, (caller, tail)))
         created = message if receiver == KERNEL_IDENTITY else None
-    last_birth[0] = program
-    delta = 0
-    for row in reversed(rows):
-        delta = (row, delta)
-    return delta
+        if message.__class__ is not int or message >= _STR_BOUND:
+            message = dumps(message)
+        rows.append(f"[[{receiver},[{caller},[{message},0]]],")
+    if refer:
+        last_birth[0] = program
+    sends = [f"[[{s},[{dumps(t)},[{dumps(m)},0]]]," for s, t, m in outcome.externals]
+    tagged = f"[1,{dumps(outcome.result)}]" if outcome.committed else "0"
+    end = "0" if ref is None else f"[{ref},0]"
+    return (
+        f"[{seq},[{tx_text},[{tagged},[{''.join(rows)}0{']' * len(rows)},"
+        f"[{''.join(sends)}0{']' * len(sends)},[{k_len_after},{end}]]]]]]"
+    )
 
 
 def decode_record(
@@ -719,7 +717,7 @@ class Store:
         """Write the frame of the next record; records grows when it is applied.
 
         tx must be a value, as Kernel.submit admits it (sexpr.check_value):
-        the store writes its canonical text unchecked.
+        its canonical text goes unchecked into encode_record's text.
         """
         if self._fh.closed:
             raise ValueError(f"store {self.path} is closed; reopen it to append")
@@ -728,10 +726,10 @@ class Store:
         seq, repeat = self._seq, self._repeat
         births = None if self._births is None else list(self._births)
         tx_text = repeat[1] if repeat is not None and tx is repeat[2] else dumps(tx)
-        refers = repeat is not None and tx_text == repeat[1]
-        end = (repeat[0], 0) if refers else 0
-        tail = encode_record(seq, 0, outcome, k_len_after, births, end)[1][1]
-        text = f"[{seq},[{'0' if refers else tx_text},{dumps(tail)}]]"
+        ref = repeat[0] if repeat is not None and tx_text == repeat[1] else None
+        text = encode_record(
+            seq, tx_text if ref is None else "0", outcome, k_len_after, births, ref
+        )
         payload = text.encode("ascii")
         try:
             self._fh.write(encode_frame(payload, self._pack))
@@ -740,7 +738,7 @@ class Store:
             raise
         self._seq += 1
         self._births = births
-        if repeat is not None and not refers and _long(tx_text):
+        if repeat is not None and ref is None and _long(tx_text):
             self._repeat = (seq, tx_text, tx)
         self._pending_syncs += 1
         if self._pending_syncs >= self._group_size:

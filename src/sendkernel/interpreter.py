@@ -98,7 +98,8 @@ def run(
     suspended ones.  A frame's pending entry, if any, is appended to the
     effects only once the frame returns: an object never sees its own
     in-flight message in its log, and inner entries land before outer
-    ones.  The tracer, if any, is the view's.
+    ones.  The view's pending list is effects.entries, and the kernel case
+    appends its rows through the view.  The tracer, if any, is the view's.
     """
     frames: list = []
     ins = instr
@@ -164,8 +165,7 @@ def run(
                 value = alloc_fn(view)
                 creation = tuple.__new__(LogEntry, (KERNEL, sender, value))
                 birth = tuple.__new__(LogEntry, (value, sender, message))
-                entries.append(creation)
-                entries.append(birth)
+                view.append_creation(creation, birth)
                 if tracer is not None:
                     tracer.on_append(creation, sender)
                     tracer.on_append(birth, sender)

@@ -188,19 +188,21 @@ class KernelState:
         return len(self.entries)
 
     def append_all(self, entries: Iterable[LogEntry]) -> None:
-        log, positions = self.entries, self._positions
+        log, positions, created = self.entries, self._positions, self._created
+        get = positions.get
+        pos = len(log)
         for e in entries:
             if e.__class__ is not LogEntry:
                 e = LogEntry(*e)
-            pos = len(log)
             log.append(e)
             receiver = e.receiver
-            at = positions.get(receiver)
+            at = get(receiver)
             if at is None:  # not [pos], which grows to 8 slots on its second row
                 at = positions[receiver] = []
             at.append(pos)
             if receiver == KERNEL_IDENTITY and is_atom(e.message):
-                self._created.setdefault(e.message, pos)
+                created.setdefault(e.message, pos)
+            pos += 1
 
     def created_at(self, ident: int) -> Optional[int]:
         """Position of the creation record for ident, if any."""
@@ -225,7 +227,8 @@ class StateView:
     `pending` only ever grows, so the lookups that need it read an index
     extended from a high-water mark instead of rescanning the list: the
     identities it creates, its first row per receiver (the birth, for a
-    created object) and its count of creation records.  The committed
+    created object) and its count of creation records; append_creation
+    indexes the kernel's rows at once if it is current.  The committed
     prefix's count is fixed, so it is counted once.
     """
 
@@ -271,6 +274,21 @@ class StateView:
                     self._created.add(e.message)
         self._indexed = n
 
+    def append_creation(self, creation: LogEntry, birth: LogEntry) -> None:
+        """Append the kernel's rows (0, c, ident) and (ident, c, program) to
+        pending, indexed at once if no row before them waits to be."""
+        pending = self.pending
+        current = self._indexed == len(pending)
+        pending.append(creation)
+        pending.append(birth)
+        if current:
+            ident = birth.receiver
+            self._first.setdefault(KERNEL_IDENTITY, ident)
+            self._first.setdefault(ident, birth.message)
+            self._registry += 1
+            self._created.add(ident)
+            self._indexed += 2
+
     def log_of(self, receiver: int) -> list[tuple[int, SExpr]]:
         """The (caller, message) rows addressed to receiver, oldest first."""
         if self.tracer is not None:
@@ -315,7 +333,8 @@ class StateView:
         """Number of creation records, i.e. |log(0)|; feeds the allocators."""
         if self.tracer is not None:
             self.tracer.on_projection("registry", KERNEL_IDENTITY)
-        self._index_pending()
+        if self._indexed != len(self.pending):
+            self._index_pending()
         if self._committed is None:
             self._committed = bisect_left(self.kstate.positions_of(KERNEL_IDENTITY), self.k_len)
         return self._committed + self._registry

@@ -171,3 +171,29 @@ def test_execute_runs_once_and_classifies_once_per_send(monkeypatch, setup, tx, 
     assert outcome.committed
     assert runs == [1]
     assert classified == Counter(case.value for case, _, _ in tracer.windows) == cases
+
+
+def test_a_batch_creation_allocates_and_classifies_once_per_creation(tmp_path, monkeypatch):
+    # dispatch.alloc_us_per_create divides the time in `txn.alloc_sequential`
+    # spans by the kernel sends `interpreter.classify` counts, and
+    # Kernel.__init__ binds the allocator: a kernel made after the patch
+    # must call it once per creation.
+    allocs, classified = [], Counter()
+    alloc, classify = txn.alloc_sequential, interpreter.classify
+
+    def counted_alloc(view):
+        allocs.append(1)
+        return alloc(view)
+
+    def counted_classify(target, view):
+        case = classify(target, view)
+        classified[case.value] += 1
+        return case
+
+    monkeypatch.setattr(txn, "alloc_sequential", counted_alloc)
+    monkeypatch.setattr(interpreter, "classify", counted_classify)
+    with durability.DurableSystem.create(str(tmp_path / "s.store"), sync="none") as ds:
+        record = ds.submit(creator(*[ECHO_PROGRAM] * 100))
+    assert record.committed and record.result == 113 and len(record.entries) == 200
+    assert len(allocs) == 100
+    assert classified == {"kernel": 100}

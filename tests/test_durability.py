@@ -44,13 +44,20 @@ from sendkernel.durability import (
     scan_frames,
 )
 from sendkernel.compose import ReplicaDivergence, Router, replicate
-from sendkernel.patterns import ECHO_PROGRAM, RELAY_PROGRAM, creator, poke
+from sendkernel.patterns import (
+    CLONE,
+    CLONEABLE_PROGRAM,
+    ECHO_PROGRAM,
+    RELAY_PROGRAM,
+    creator,
+    poke,
+)
 from sendkernel.scheduler import run_concurrent
 from sendkernel import durability
 from sendkernel.sexpr import chain, dumps, equal, is_pair, parse, scan_split, unchain
 from sendkernel.txn import ExecResult, Kernel
 from sendkernel import state
-from sendkernel.state import ExternalSend, LogEntry, TxRecord
+from sendkernel.state import ExternalSend, LogEntry, TxRecord, rows_equal
 
 from test_acceptance import _fixture_workloads
 from test_benchmark_hooks import forwarder_program
@@ -195,16 +202,16 @@ class TestRecordCodec:
         return ExecResult(ABORT, [], [], 10)
 
     def test_commit_round_trip(self):
-        enc = encode_record(3, (1, 2), self.outcome(), 2)
-        rec = decode_record(enc, 0)
+        text = encode_record(3, dumps((1, 2)), self.outcome(), 2)
+        rec = decode_record(parse(text), 0)
         assert rec.seq == 3 and rec.tx == (1, 2) and rec.result == 14
         assert rec.entries == (LogEntry(0, 1, 14), LogEntry(14, 1, (8, 0)))
         assert rec.externals == (ExternalSend(1, (3, 4), 77),)
         assert rec.k_len_after == 2 and rec.committed
 
     def test_abort_round_trip(self):
-        enc = encode_record(0, (1, 2), self.outcome(committed=False), 0)
-        rec = decode_record(enc, 0)
+        text = encode_record(0, dumps((1, 2)), self.outcome(committed=False), 0)
+        rec = decode_record(parse(text), 0)
         assert rec.result is ABORT and not rec.committed
         assert rec.entries == () and rec.externals == ()
 
@@ -229,8 +236,8 @@ class TestRecordCodec:
         delta = chain([chain(e) for e in entries])
         xi = chain([chain(s) for s in externals])
         want = record(3, tagged, delta, xi, 2)
-        got = encode_record(3, (1, 2), outcome, 2)
-        assert got == want and dumps(got) == dumps(want)
+        text = encode_record(3, dumps((1, 2)), outcome, 2)
+        assert text == dumps(want)
 
     def test_malformed_rows_rejected(self):
         bad = chain([0, (1, 2), (1, 9), chain([chain([5, 1])]), 0, 1])
@@ -267,6 +274,141 @@ class TestRecordCodec:
         with pytest.raises(StoreCorruption) as info:
             decode_record(bad, 42)
         assert (info.value.reason, info.value.offset) == (reason, 42)
+
+
+def chained_record(seq, tx, outcome, k_len_after, last_birth=None, end=0):
+    """The record as a chain of pairs, which Store.append built and wrote
+    with dumps before encode_record wrote the text row by row: the
+    reference encode_record is checked against.  last_birth as
+    encode_record's; end is 0 or (ref, 0).
+    """
+    tagged = (1, outcome.result) if outcome.committed else 0
+    delta = xi = 0
+    for receiver, caller, message in reversed(outcome.entries):
+        if receiver == 0 and last_birth is not None:  # a birth may follow
+            delta = chained_referring_delta(outcome.entries, last_birth)
+            break
+        delta = ((receiver, (caller, (message, 0))), delta)
+    for sender, target, message in reversed(outcome.externals):
+        xi = ((sender, (target, (message, 0))), xi)
+    return (seq, (tx, (tagged, (delta, (xi, (k_len_after, end))))))
+
+
+def chained_referring_delta(entries, last_birth):
+    """chained_record's delta rows when each birth may refer to the one before."""
+    rows = []
+    program = last_birth[0]
+    created = None  # the identity the previous row created, if any
+    for receiver, caller, message in entries:
+        tail = (message, 0)
+        if receiver == created:
+            if message is program or equal(message, program):
+                tail = 0
+            program = message
+        rows.append((receiver, (caller, tail)))
+        created = message if receiver == 0 else None
+    last_birth[0] = program
+    return chain(rows)
+
+
+def deep(depth, leaf=3):
+    """A value nested depth pairs deep in its tail."""
+    value = leaf
+    for i in range(depth):
+        value = (i % 10, value)
+    return value
+
+
+# Programs and messages: equal values built apart (so a reference is written
+# on equality, not on identity), atoms on both sides of _STR_BOUND and past
+# str's 4,300 digits, identities of both allocators.
+A, B = (3, (4, (10, 0))), ((1, 2), 0)
+TEXT_VALUES = [A, parse(dumps(A)), B, parse(dumps(B)), 0, 5, 14, 15, 10**639, 10**640, 10**5000 + 7]
+IDENTS = [14, 15, 16, 2**255 + 14]
+
+receivers = st.sampled_from([0, 1] + IDENTS)
+callers = st.sampled_from([1] + IDENTS)
+text_values = st.sampled_from(TEXT_VALUES + IDENTS)
+
+
+@st.composite
+def creations_and_rows(draw):
+    """Entries of creations (a creation row, then its birth) and other rows."""
+    entries = []
+    for kind in draw(st.lists(st.sampled_from(["create", "create", "row"]), max_size=8)):
+        caller = draw(callers)
+        if kind == "create":
+            ident = draw(st.sampled_from(IDENTS))
+            entries.append(LogEntry(0, caller, ident))
+            entries.append(LogEntry(ident, caller, draw(text_values)))
+        else:
+            entries.append(LogEntry(draw(receivers), caller, draw(text_values)))
+    return entries
+
+
+@st.composite
+def outcomes(draw):
+    if draw(st.booleans()):
+        return ExecResult(ABORT, [], [], 0)
+    sends = st.builds(ExternalSend, callers, st.builds(lambda x: (7, x), text_values), text_values)
+    externals = draw(st.lists(sends, max_size=3))
+    return ExecResult(draw(text_values), draw(creations_and_rows()), externals, 0)
+
+
+class TestRecordText:
+    """encode_record writes the text dumps writes of chained_record."""
+
+    @staticmethod
+    def assert_same_text(records, births):
+        """Write records in a row both ways from births, None (version 1) or
+        [program], and read each back; a reference ref must be below seq."""
+        old, new, read = [None if births is None else list(births) for _ in range(3)]
+        decoded = []
+        for seq, (tx, outcome, ref) in enumerate(records):
+            if births is None or ref is None or ref >= seq:
+                ref = None
+            end = 0 if ref is None else (ref, 0)
+            want = dumps(chained_record(seq, tx if ref is None else 0, outcome, 7, old, end))
+            text = encode_record(seq, dumps(tx) if ref is None else "0", outcome, 7, new, ref)
+            assert text == want
+            assert births is None or new[0] is old[0]
+            record = decode_record(parse(text), seq, read, 1 if births is None else 3, decoded)
+            assert rows_equal(record.entries, outcome.entries)
+            assert rows_equal(record.externals, outcome.externals)
+            decoded.append(record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(text_values, outcomes(), st.one_of(st.none(), st.integers(0, 3))),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(st.none(), st.builds(lambda p: [p], st.one_of(st.none(), text_values))),
+    )
+    def test_matches_the_chained_record(self, records, births):
+        self.assert_same_text(records, births)
+
+    @pytest.mark.parametrize("births", [None, [None], [A]])
+    def test_births_equal_unequal_and_alternating(self, births):
+        creations = [
+            LogEntry(*row)
+            for i, program in enumerate([A, A, B, parse(dumps(A)), B, B, A])
+            for row in ((0, 1, 14 + i), (14 + i, 1, program))
+        ]
+        outcome = ExecResult(14, creations + [LogEntry(14, 1, A)], [], 0)
+        self.assert_same_text([((1, 2), outcome, None), ((1, 2), outcome, 0)], births)
+
+    @pytest.mark.parametrize("where", ["birth", "row", "result", "send"])
+    def test_200k_deep_values(self, where):
+        message, equal_message = deep(200_000), deep(200_000)
+        entries = [LogEntry(0, 1, 14), LogEntry(14, 1, message if where == "birth" else A)]
+        if where == "row":
+            entries.append(LogEntry(14, 1, message))
+        externals = [ExternalSend(14, (7, 2), message)] if where == "send" else []
+        result = message if where == "result" else 0
+        outcome = ExecResult(result, entries, externals, 0)
+        self.assert_same_text([(A, outcome, None)], [equal_message])
 
 
 def build_store(path, txs, config=None, sync="none", version=4):
@@ -1236,6 +1378,54 @@ def test_version_4_payloads_are_version_3s(tmp_path):
 )
 def test_version_4_bytes_are_pinned(tmp_path):
     assert pinned_stores(str(tmp_path), 4) == PINNED_DIGESTS_V4
+
+
+# An aborted creation: the kernel appends its rows, then the program fails.
+TX_ABORTED_CREATION = (asm(("push", ECHO_PROGRAM), ("push", 0), ("send",), end=4), 0)
+
+
+def creation_heavy_store(path, config, version):
+    """Write a store of creations and return its sha256.
+
+    Three admissions of one creator(*[ECHO_PROGRAM]*100) object (birth
+    references across records, transaction references from version 3, z
+    frames in version 4), births alternating A B A B, a cloneable object
+    creating its child inside its own frame, an aborted creation, and a
+    birth equal to the one before the abort.
+    """
+    batch = creator(*[ECHO_PROGRAM] * 100)
+    with create_versioned(path, config, version) as ds:
+        for _ in range(3):
+            assert ds.submit(batch).committed
+        alternating = creator(ECHO_PROGRAM, RELAY_PROGRAM, ECHO_PROGRAM, RELAY_PROGRAM)
+        assert ds.submit(alternating).committed
+        parent = ds.submit(creator(CLONEABLE_PROGRAM)).result
+        assert ds.submit(poke(parent, (CLONE, 0))).committed
+        assert not ds.submit(TX_ABORTED_CREATION).committed
+        assert ds.submit(creator(CLONEABLE_PROGRAM)).committed
+    return sha256_of(path)
+
+
+# sha256 of creation_heavy_store in versions 2 to 4 under both allocators,
+# taken before Store.append wrote record text without a tuple chain.  The
+# version-4 digests hold under PINNED_ZLIB only.
+PINNED_CREATION_DIGESTS = {
+    "v2_seq": "354b9818c2864bb5de7e48f2acc15e56ddfa99f650222c127d39b5e95ef25ed4",
+    "v2_hash": "3c1868ce08488c8e2c941dcb3ac2a2217612cdfe62a48b8ad713e18d91dcaebe",
+    "v3_seq": "026cef8b9b3106f927af708234fffa649d1c0751ab709f11cd0c2cac9d6e3400",
+    "v3_hash": "53e07f831109fddb2421582363a06e0e0c61dc79106d011ee4fcc208f082ab8e",
+    "v4_seq": "bc76f89ff9dd229d633301afac6ff1c881eca8d50f85440ff7148b33bed2a4ce",
+    "v4_hash": "bb1675af540a618ada2cd05eda4ca907be60dbf57ab94704a5c1b0e1173e06b5",
+}
+
+
+def test_creation_heavy_bytes_are_pinned(tmp_path):
+    versions = (2, 3, 4) if zlib.ZLIB_RUNTIME_VERSION == PINNED_ZLIB else (2, 3)
+    for version in versions:
+        for allocator, config in PINNED_CONFIGS.items():
+            name = f"v{version}_{allocator}"
+            got = creation_heavy_store(str(tmp_path / f"{name}.store"), config, version)
+            assert got == PINNED_CREATION_DIGESTS[name], name
 
 
 class TestUnboundedValues:

@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 import pytest
 
+from sendkernel.assembler import Const, ProgramBuilder
+from sendkernel.dispatch import FIRST_IDENTITY, alloc_sequential, make_hash_allocator
+from sendkernel.interpreter import run
+from sendkernel.patterns import CLONE, CLONEABLE_PROGRAM, ECHO_PROGRAM
 from sendkernel.sexpr import dumps, equal
 from sendkernel.state import (
     ABORT,
     Abort,
+    Effects,
     KernelState,
     LogEntry,
     StateView,
@@ -187,6 +192,77 @@ class TestProjections:
             b.append_all([e])
         assert a.canonical_lines() == b.canonical_lines()
         assert StateView(a).log_of(14) == StateView(b).log_of(14)
+
+
+def interleaved_creations():
+    """One transaction that creates objects and sends to each just after:
+    a cloneable object cloning itself inside its own frame, echoes, and the
+    clone answering.  Each persistent frame's return row lands between two
+    creations."""
+    b = ProgramBuilder()
+    parent = b.call(Const(0), Const(CLONEABLE_PROGRAM))
+    child = b.call(parent, Const((CLONE, 0)))
+    first = b.call(Const(0), Const(ECHO_PROGRAM))
+    b.call(first, Const(5))
+    b.call(child, Const((77, 8)))
+    second = b.call(Const(0), Const(ECHO_PROGRAM))
+    b.call(second, Const(6))
+    b.call(Const(0), Const(CLONEABLE_PROGRAM))
+    b.call(first, Const(7))
+    return b.halt()
+
+
+def registry_blind(view):
+    """An allocator that reads no projection: its creations are appended
+    while rows before them wait to be indexed."""
+    return FIRST_IDENTITY + 1000 + len(view.pending)
+
+
+def assert_view_matches(view, kstate, k_len):
+    """view's lookups equal a fresh view's over the same pending rows and a
+    view of KernelState.from_entries of the committed prefix and them."""
+    pending = list(view.pending)
+    fresh = StateView(kstate, k_len, pending)
+    rebuilt = StateView(KernelState.from_entries(kstate.entries[:k_len] + pending))
+    rows = kstate.entries[:k_len] + pending
+    idents = {e.receiver for e in rows} | {e.message for e in rows if e.receiver == 0}
+    idents |= {1, 9999}
+    for reference in (fresh, rebuilt):
+        assert view.registry_len() == reference.registry_len()
+        for ident in sorted(idents):
+            assert view.exists(ident) == reference.exists(ident), ident
+            if reference.exists(ident):
+                assert equal(view.program_of(ident), reference.program_of(ident)), ident
+            assert rows_equal(view.log_of(ident), reference.log_of(ident)), ident
+
+
+class TestPendingIndex:
+    """The kernel case indexes its creation and birth rows as it appends
+    them when the index is current; frame return rows wait for a lookup."""
+
+    @pytest.mark.parametrize(
+        "alloc",
+        [alloc_sequential, make_hash_allocator(99), registry_blind],
+        ids=["seq", "hash", "blind"],
+    )
+    def test_every_step_of_interleaved_creations(self, alloc):
+        kstate = KernelState.from_entries(
+            [LogEntry(0, 1, 14), LogEntry(14, 1, ECHO_PROGRAM), LogEntry(14, 1, 3)]
+        )
+        program = interleaved_creations()
+        stale = 0  # steps after which rows wait to be indexed
+        n = 0
+        while True:
+            n += 1
+            effects = Effects()
+            view = StateView(kstate, kstate.size, effects.entries)
+            result, left = run([program, 0, 1, 0, 1], program, view, effects, n, alloc)
+            stale += view._indexed < len(view.pending)
+            assert_view_matches(view, kstate, kstate.size)
+            if result is not ABORT:
+                break
+        creations = [e for e in effects.entries if e.receiver == 0]
+        assert left == 0 and len(creations) == 5 and stale > 0
 
 
 class TestEncodeLog:
