@@ -91,6 +91,7 @@ PACK_LEVEL = 1  # its zlib level
 # The fewest pairs of a transaction Store.append may refer to (_long).
 _REPEAT_PAIRS = 16
 _STR_BOUND = 10**640  # str writes atoms below under any int_max_str_digits (0 or 640+)
+_SHARED_BIRTHS = 8  # the distinct programs a read shares a full birth with
 ALLOC_CODES = {"seq": 0, "hash": 1}
 ALLOC_NAMES = {0: "seq", 1: "hash"}
 SYNC_POLICIES = ("fsync", "flush", "none")
@@ -231,7 +232,7 @@ def _parse_payload(payload: bytes, offset_hint: int) -> SExpr:
 
 
 def _decode_payload(
-    payload: bytes, offset: int, last_birth: list, version: int, records: list
+    payload: bytes, offset: int, recent_births: list, version: int, records: list
 ) -> TxRecord:
     """decode_record of a record payload read as the C scanner's lists.
 
@@ -247,11 +248,11 @@ def _decode_payload(
         split = None
     if split is not None:
         try:
-            return decode_record(split, offset, last_birth, version, records=records)
+            return decode_record(split, offset, recent_births, version, records=records)
         except StoreCorruption:
             pass
     value = _parse_payload(payload, offset)
-    return decode_record(value, offset, last_birth, version, records=records)
+    return decode_record(value, offset, recent_births, version, records=records)
 
 
 # header and record payloads -------------------------------------------------
@@ -302,7 +303,8 @@ def encode_record(
         if receiver == created and refer:  # a birth row
             if message is program or equal(message, program):
                 rows.append(f"[[{receiver},[{caller},0]],")
-                program, created = message, None
+                program = message
+                created = message if receiver == KERNEL_IDENTITY else None
                 continue
             program = message
         created = message if receiver == KERNEL_IDENTITY else None
@@ -323,7 +325,7 @@ def encode_record(
 def decode_record(
     x,
     offset: int,
-    last_birth: Optional[list] = None,
+    recent_births: Optional[list] = None,
     version: int = HEADER_VERSION,
     records: Optional[Sequence[TxRecord]] = None,
 ) -> TxRecord:
@@ -335,15 +337,20 @@ def decode_record(
     record keeps is turned into pairs: the result, each row's message and
     each outward send's target and message.
 
-    last_birth is [the previous birth's program or None], encode_record's
-    list; read_store passes one list to every record.  A birth row is the
-    row right after a creation row (0, c, ident) whose receiver is ident.
-    Equal births decoded in a row share one program, the way the live
-    system's creations share the object their transaction passed in, and
-    the collector walks it once (_shared_birth).  From version 2 on, a
-    birth row may be the reference [ident,[caller,0]]: it reads as
-    last_birth[0].  A full row always has three fields, so no reference
-    reads as a program.
+    recent_births is the read's table: [] before any birth, then (program,
+    form) for each of the last _SHARED_BIRTHS distinct birth programs read,
+    most recent first, form being the message as it was read; read_store
+    passes one list to every record, and hands a Store it opens only the
+    previous birth, encode_record's last_birth.  A birth row is the
+    row right after a creation row (0, c, ident) whose receiver is ident,
+    and it reads with the creation row's int object as its receiver.  A
+    full birth whose program equals one in the table takes that object, the
+    way the live system's creations share the object their transaction
+    passed in, and the collector walks it once (_shared_birth).  From
+    version 2 on, a birth row may be the reference [ident,[caller,0]]: it
+    reads as the previous birth's program, recent_births[0][0], as
+    encode_record wrote it.  A full row always has three fields, so no
+    reference reads as a program.
 
     records are the records read before this one (read_store's).  From
     version 3 on, a record may end [k_len_after,[ref,0]] in place of
@@ -355,8 +362,8 @@ def decode_record(
     names a transaction this read has checked, and it is written only where
     the canonical texts are equal (Store.append).
     """
-    if last_birth is None:
-        last_birth = [None]
+    if recent_births is None:
+        recent_births = []
 
     def bad(reason: str):
         return StoreCorruption(reason, offset)
@@ -403,22 +410,27 @@ def decode_record(
             (receiver, (caller, tail)), delta = delta
             if not is_atom(receiver) or not is_atom(caller):
                 raise ValueError
-            if tail.__class__ is not int:
-                message, end = tail
+            if receiver == created:  # a birth row
+                receiver = created  # the creation row's int object
+                if tail.__class__ is not int:
+                    message, end = tail
+                    if end != 0:
+                        raise ValueError
+                    message = _shared_birth(message, recent_births)
+                elif tail != 0:
+                    raise ValueError
+                elif version == 1:
+                    raise bad("birth reference in a version-1 store")
+                elif not recent_births:
+                    raise bad("birth reference before any birth")
+                else:
+                    message = recent_births[0][0]
+            else:
+                message, end = tail  # an int tail, a reference, raises TypeError
                 if end != 0:
                     raise ValueError
-                if receiver == created:
-                    message = _shared_birth(message, last_birth)
-                elif message.__class__ is list:
+                if message.__class__ is list:
                     message = _pairs(message)
-            elif tail != 0 or receiver != created:
-                raise ValueError
-            elif version == 1:
-                raise bad("birth reference in a version-1 store")
-            elif last_birth[0] is None:
-                raise bad("birth reference before any birth")
-            else:
-                message = last_birth[0]
             created = message if receiver == KERNEL_IDENTITY else None
             entries.append(tuple.__new__(LogEntry, (receiver, caller, message)))
         while xi.__class__ is not int:
@@ -436,19 +448,39 @@ def decode_record(
     return TxRecord(seq, tx, result, tuple(entries), tuple(externals), k_len_after)
 
 
-def _shared_birth(message, last_birth: list) -> SExpr:
-    """A full birth row's program: last_birth[0] if equal, else the message
-    converted, which becomes last_birth[0].
+def _shared_birth(message, recent_births: list) -> SExpr:
+    """A full birth row's program, whose entry moves to the front of
+    recent_births (decode_record's table): the equal program in the table,
+    if any, else the message converted.
 
-    From version 2 on the writer writes a birth equal to the previous one as
-    a reference, so only version-1 stores hold equal births in full.
+    The message is first compared as read with each entry's form: C
+    comparison of the scanner's lists, or of a parsed value's pairs, which
+    finds an equal program without converting the message.  Only if none is
+    equal is it converted, and the value compared by equal with each
+    program, which also finds it across forms (a payload parsed whole
+    beside the scanner's), or past the depth the C comparison reaches.
+    Values are never hashed.  From version 2 on no full birth equals the
+    previous one (encode_record), so what it finds is an earlier program,
+    as alternating births do.
     """
-    value = _pairs(message)
-    program = last_birth[0]
-    if program is not None and equal(value, program):
-        return program
-    last_birth[0] = value
-    return value
+    for i, (program, form) in enumerate(recent_births):
+        try:
+            if form == message:
+                break
+        except RecursionError:
+            pass
+    else:
+        value = _pairs(message, keep=True)
+        for i, (program, _) in enumerate(recent_births):
+            if equal(value, program):
+                break
+        else:
+            if len(recent_births) == _SHARED_BIRTHS:
+                recent_births.pop()
+            recent_births.insert(0, (value, message))
+            return value
+    recent_births.insert(0, recent_births.pop(i))
+    return program
 
 
 # the store ------------------------------------------------------------------
@@ -541,11 +573,11 @@ def _read_store(
 
     records: list[TxRecord] = []
     k_len = 0
-    last_birth = [None]
+    recent_births: list = []
     repeat = None if version < 3 else _NO_REPEAT
     with _collector_paused():
         for i, payload in enumerate(scan.payloads[1:]):
-            record = _decode_payload(payload, i + 1, last_birth, version, records)
+            record = _decode_payload(payload, i + 1, recent_births, version, records)
             if record.seq != i:
                 raise StoreCorruption(
                     f"record sequence {record.seq} where {i} expected", i + 1
@@ -565,11 +597,11 @@ def _read_store(
     report = RecoveryReport(
         len(records), scan.torn_offset, len(data) - scan.clean_end, version, len(scan.packed)
     )
-    births = None if version == 1 else last_birth
+    births = None if version == 1 else [recent_births[0][0] if recent_births else None]
     return StoreSnapshot(config, tuple(records), report), births, repeat, version >= 4
 
 
-_NO_REPEAT = (None, None, None)
+_NO_REPEAT = (None, None, object())  # before any long text: no tx is its object
 
 
 def _long(text: str) -> bool:

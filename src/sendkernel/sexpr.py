@@ -246,12 +246,13 @@ def _lists(x) -> list:
     return lists
 
 
-def _pairs(x) -> SExpr:
+def _pairs(x, keep: bool = False) -> SExpr:
     """Turn the scanner's nested lists into pairs, bottom-up; an int or a
     pair comes back as it is.
 
     Raises ValueError unless every list holds exactly two items.  Each list
-    holds its pair at [2] while its parent is converted.
+    holds its pair at [2] while its parent is converted; keep deletes those
+    again, so that x can still be compared with other scanner output.
     """
     lists = _lists(x)
     # Children first.  The lists stay alive to the end.  Freeing each as its
@@ -268,7 +269,11 @@ def _pairs(x) -> SExpr:
         node.append((head, tail))
     if not lists:
         return x
-    return x[2]
+    value = x[2]
+    if keep:
+        for node in lists:
+            del node[2]
+    return value
 
 
 _WS = " \t\r\n"

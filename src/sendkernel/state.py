@@ -168,13 +168,20 @@ class KernelState:
     The indexes are caches only: they are rebuilt from the entry list and
     never persisted.  Entries are appended by commits and never mutated,
     which is what makes prefix views (snapshots) free.
+
+    _positions maps each receiver to the position of its one row, a bare
+    int, until its second row arrives, and then to the list of its
+    positions; most objects never receive a row after their birth, and a
+    list would cost them about 100 bytes more.  positions_of always gives
+    a list, and first_position reads the first without building one.
+    _created maps each created identity to its creation row.
     """
 
     __slots__ = ("entries", "_positions", "_created")
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
-        self._positions: dict[int, list[int]] = {}
+        self._positions: dict[int, Union[int, list[int]]] = {}
         self._created: dict[int, int] = {}
 
     @classmethod
@@ -197,9 +204,12 @@ class KernelState:
             log.append(e)
             receiver = e.receiver
             at = get(receiver)
-            if at is None:  # not [pos], which grows to 8 slots on its second row
-                at = positions[receiver] = []
-            at.append(pos)
+            if at is None:
+                positions[receiver] = pos
+            elif at.__class__ is int:  # two slots; [] appended to twice has four
+                positions[receiver] = [at, pos]
+            else:
+                at.append(pos)
             if receiver == KERNEL_IDENTITY and is_atom(e.message):
                 created.setdefault(e.message, pos)
             pos += 1
@@ -209,7 +219,17 @@ class KernelState:
         return self._created.get(ident)
 
     def positions_of(self, receiver: int) -> list[int]:
-        return self._positions.get(receiver, ())  # type: ignore[return-value]
+        """The positions of receiver's rows, oldest first (a new list for
+        fewer than two rows)."""
+        at = self._positions.get(receiver)
+        if at is None:
+            return []
+        return [at] if at.__class__ is int else at
+
+    def first_position(self, receiver: int) -> Optional[int]:
+        """The position of receiver's first row, if any."""
+        at = self._positions.get(receiver)
+        return at[0] if at.__class__ is list else at
 
     def canonical_lines(self) -> list[str]:
         """One line per entry; bit-exact state comparison format."""
@@ -320,9 +340,9 @@ class StateView:
         """The birth-record message: immutable for the object's lifetime."""
         if self.tracer is not None:
             self.tracer.on_projection("program", ident)
-        positions = self.kstate.positions_of(ident)
-        if positions and positions[0] < self.k_len:
-            return self.kstate.entries[positions[0]].message
+        first = self.kstate.first_position(ident)
+        if first is not None and first < self.k_len:
+            return self.kstate.entries[first].message
         self._index_pending()
         try:
             return self._first[ident]

@@ -35,6 +35,7 @@ ALLOCATOR_KINDS = ("seq", "hash")
 # Kernel.submit does not walk again the last transaction of this many pairs
 # or more that passed check_value; shorter ones in between leave it.
 _REMEMBERED_PAIRS = 16
+_NOTHING = object()  # Kernel._passed before any: no transaction is this object
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class Kernel:
             self.alloc_fn = alloc_sequential
         else:
             self.alloc_fn = make_hash_allocator(self.config.salt)
-        self._passed = None  # see _REMEMBERED_PAIRS
+        self._passed = _NOTHING  # see _REMEMBERED_PAIRS
 
     def execute(self, kstate: KernelState, k_len: int, tx: SExpr) -> ExecResult:
         """Run [p, i] against the prefix kstate[:k_len]; apply nothing.

@@ -199,6 +199,28 @@ class TestRefusals:
         assert router.instances[1].canonical_lines() == lines
 
     @pytest.mark.parametrize("path", PATHS)
+    def test_a_first_transaction_of_none_is_refused(self, tmp_path, path):
+        # The kernel once marked "no transaction passed yet" with None, and
+        # the store "no long transaction written yet": a first None went
+        # unchecked, and a store wrote part of its frame.
+        opened = path(str(tmp_path))
+        before = opened.state()
+        with pytest.raises(ValueError):
+            opened.submit(None)
+        assert opened.state() == before
+        opened.submit(creator(ECHO_PROGRAM))
+        opened.check_round_trip()
+
+    def test_a_routed_store_refuses_a_first_none(self, tmp_path):
+        p = tmp_path / "r.log"
+        router, durable = Router(), DurableSystem.create(str(p), sync="none")
+        router.add_instance(2, durable=durable)
+        with pytest.raises(ValueError):
+            router.submit(2, None)
+        durable.close()
+        assert read_store(str(p), strict=True).records == ()
+
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("leaf", [[1, 2], True, -1, (1, 2, 3), None, 1.0, Nat(1)])
     def test_a_deep_near_value_is_refused(self, tmp_path, path, leaf):
         assert not admit_or_refuse(path(str(tmp_path)), poke(14, deep(leaf)))

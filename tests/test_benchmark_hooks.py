@@ -78,7 +78,7 @@ def test_the_arguments_the_tracer_reads_keep_their_places():
         return list(inspect.signature(fn).parameters)
 
     assert names(durability.Store.append) == ["self", "tx", "outcome", "k_len_after"]
-    assert names(durability.decode_record)[:4] == ["x", "offset", "last_birth", "version"]
+    assert names(durability.decode_record)[:4] == ["x", "offset", "recent_births", "version"]
     assert [names(f)[0] for f in (durability.scan_frames, durability.parse, durability.dumps)] == [
         "data",
         "text",
@@ -109,6 +109,22 @@ def test_open_of_compressed_frames_calls_the_traced_decoders_by_name(tmp_path, m
     with open(path, "rb") as fh:
         assert len(durability.scan_frames(fh.read()).packed) == 2
     assert open_calls(path, monkeypatch) == {"scan_frames": 1, "decode_record": 3}
+
+
+def test_positions_of_gives_a_list_perfbench_can_measure_and_slice():
+    # workloads.py takes len() of KernelState.positions_of(ident) and slices
+    # it from 1, for objects of no row, one row (a bare int in the index),
+    # two rows and more.
+    kernel, system = Kernel(), SystemState.fresh()
+    kernel.submit(system, creator(ECHO_PROGRAM, ECHO_PROGRAM, ECHO_PROGRAM))
+    for _ in range(2):
+        kernel.submit(system, poke(16, 5))
+    kernel.submit(system, poke(15, 6))
+    index = system.kernel
+    for ident, rows in [(13, 0), (14, 1), (15, 2), (16, 3)]:
+        positions = index.positions_of(ident)
+        assert positions.__class__ is list and len(positions) == rows, ident
+        assert [index.entries[p].receiver for p in positions[1:]] == [ident] * (rows - 1)
 
 
 def open_calls(path, monkeypatch):

@@ -16,11 +16,12 @@ import tempfile
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sendkernel import ABORT, KernelConfig
 from sendkernel.durability import (
+    _SHARED_BIRTHS,
     _SHARED_TEXT,
     PACK_GATE,
     PACK_LEVEL,
@@ -326,6 +327,14 @@ A, B = (3, (4, (10, 0))), ((1, 2), 0)
 TEXT_VALUES = [A, parse(dumps(A)), B, parse(dumps(B)), 0, 5, 14, 15, 10**639, 10**640, 10**5000 + 7]
 IDENTS = [14, 15, 16, 2**255 + 14]
 
+# Identity 0 is created, and its birth, a row to the kernel equal to the
+# previous birth, is written as a reference; that row creates 14 again, so
+# the row after it is a birth too, to the writer as to the reader.
+KERNEL_BIRTH = [(0, 1, 14), (14, 1, 14), (0, 1, 0), (0, 1, 14), (14, 1, A), (0, 1, 15), (15, 1, A)]
+KERNEL_BIRTH_RECORDS = [
+    ((1, 2), ExecResult(14, [LogEntry(*row) for row in KERNEL_BIRTH], [], 0), ref) for ref in (None, 0)
+]
+
 receivers = st.sampled_from([0, 1] + IDENTS)
 callers = st.sampled_from([1] + IDENTS)
 text_values = st.sampled_from(TEXT_VALUES + IDENTS)
@@ -361,8 +370,10 @@ class TestRecordText:
     @staticmethod
     def assert_same_text(records, births):
         """Write records in a row both ways from births, None (version 1) or
-        [program], and read each back; a reference ref must be below seq."""
-        old, new, read = [None if births is None else list(births) for _ in range(3)]
+        [program], and read each back; a reference ref must be below seq.
+        The reader's table starts from the writer's previous birth."""
+        old, new = [None if births is None else list(births) for _ in range(2)]
+        read = [] if births is None or births[0] is None else [(births[0], births[0])]
         decoded = []
         for seq, (tx, outcome, ref) in enumerate(records):
             if births is None or ref is None or ref >= seq:
@@ -386,6 +397,8 @@ class TestRecordText:
         ),
         st.one_of(st.none(), st.builds(lambda p: [p], st.one_of(st.none(), text_values))),
     )
+    @example(KERNEL_BIRTH_RECORDS, [None])
+    @example(KERNEL_BIRTH_RECORDS, [A])
     def test_matches_the_chained_record(self, records, births):
         self.assert_same_text(records, births)
 
@@ -849,9 +862,9 @@ def birth_programs(entries):
 
 
 class TestSharedBirths:
-    """A decoded birth whose program equals the previous birth's takes that
-    object, as the live system's creations share the object they pass in;
-    unequal programs are never shared."""
+    """A decoded birth whose program equals one of the last _SHARED_BIRTHS
+    distinct births' takes that object, as the live system's creations share
+    the object they pass in; unequal programs are never shared."""
 
     P, Q = ECHO_PROGRAM, RELAY_PROGRAM
     TXS = [creator(P, P, P), creator(P), creator(P, Q, P, Q), poke(14, 5), poke(20, 6)]
@@ -860,9 +873,8 @@ class TestSharedBirths:
     def check_births(self, births):
         assert len(births) == len(self.WANT)
         assert all(equal(got, want) for got, want in zip(births, self.WANT))
-        for a, b in zip(births, births[1:]):
-            assert (a is b) == equal(a, b)
-        assert len({id(b) for b in births}) == 4  # one object per run of equal births
+        assert all((a is b) == equal(a, b) for a in births for b in births)
+        assert len({id(b) for b in births}) == 2  # one object per program
 
     def test_read_store_and_open_share_equal_births(self, tmp_path):
         for version in (1, 2, 3):
@@ -873,10 +885,10 @@ class TestSharedBirths:
             snapshot = read_store(str(p), strict=True)
             records = snapshot.records
             assert len(records) == len(payloads) == len(live)
-            last_birth = [None]
+            recent_births = []
             for i, (record, payload, twin) in enumerate(zip(records, payloads, live)):
                 assert record == twin and twin == record
-                decoded = decode_record(parse(payload.decode()), i + 1, last_birth, version)
+                decoded = decode_record(parse(payload.decode()), i + 1, recent_births, version)
                 assert record == decoded
             self.check_births([b for r in records for b in birth_programs(r.entries)])
             assert replay_verify(snapshot) is None
@@ -885,6 +897,60 @@ class TestSharedBirths:
             assert report.clean and durable.system.records == live
             self.check_births(birth_programs(durable.system.kernel.entries))
             durable.close()
+
+    def test_alternating_births_read_as_two_objects(self, tmp_path):
+        # Equal copies, so the live system holds four objects.
+        P2, Q2 = parse(dumps(self.P)), parse(dumps(self.Q))
+        txs = [creator(self.P, self.Q, P2, Q2), creator(Q2), creator(self.P, self.Q)]
+        for version in (1, 2, 3, 4):
+            p = tmp_path / f"v{version}.log"
+            live = build_store(p, txs, version=version)
+            assert len({id(b) for r in live for b in birth_programs(r.entries)}) == 4
+            if version > 1:  # only record 1's Q follows an equal birth
+                assert birth_references(p) == 1
+            records = read_store(str(p), strict=True).records
+            births = [b for r in records for b in birth_programs(r.entries)]
+            want = [self.P if name == "P" else self.Q for name in "PQPQQPQ"]
+            assert [dumps(b) for b in births] == [dumps(b) for b in want]
+            assert len({id(b) for b in births}) == 2
+            assert all((a is b) == equal(a, b) for a in births for b in births)
+            assert shared_pattern(records) == shared_pattern(reference_read(str(p)))
+
+    @pytest.mark.parametrize("programs", [_SHARED_BIRTHS, _SHARED_BIRTHS + 2])
+    def test_a_cycle_of_distinct_programs_shows_the_bound(self, tmp_path, programs):
+        cycle = [(100 + i, 0) for i in range(programs)]
+        for version in (1, 2, 3, 4):
+            p = tmp_path / f"v{version}.log"
+            build_store(p, [creator(*cycle), creator(*cycle)], version=version)
+            records = read_store(str(p), strict=True).records
+            births = [b for r in records for b in birth_programs(r.entries)]
+            assert births == cycle * 2
+            # The second cycle finds each program in the table, or, past
+            # the bound, each was dropped before it comes round again.
+            shared = programs <= _SHARED_BIRTHS
+            assert all((a is b) == shared for a, b in zip(births, births[programs:]))
+            assert len({id(b) for b in births}) == (programs if shared else 2 * programs)
+            assert shared_pattern(records) == shared_pattern(reference_read(str(p)))
+
+    @pytest.mark.parametrize("depth", [2, sys.getrecursionlimit() * 2])
+    def test_a_birth_as_read_is_compared_before_and_after_conversion(self, depth):
+        # The scanner's lists, restored after conversion, are compared in C;
+        # past the depth C reaches, the converted values are compared.
+        def read(leaf=3):
+            value = leaf
+            for i in range(depth):
+                value = [i % 10, value]
+            return value
+
+        table, message = [], read()
+        first = durability._shared_birth(message, table)
+        assert equal(first, deep(depth)) and table == [(first, message)]
+        assert equal(durability._pairs(message, keep=True), first)  # two items a list again
+        assert durability._shared_birth(read(), table) is first
+        for bad in (read([3, 0, 0]), read([])):  # a list of three, and of none
+            with pytest.raises(ValueError):
+                durability._shared_birth(bad, table)
+        assert table == [(first, message)]
 
 
 def payloads_of(path, strict=False):
@@ -895,16 +961,17 @@ def payloads_of(path, strict=False):
 def reference_read(path, strict=False):
     """read_store the reference way: each payload parsed whole, then
     decode_record of its value under the header's version and the records
-    read before it, with read_store's checks between records."""
+    read before it, with read_store's checks between records; the births
+    are then shared anew by shared_births."""
     payloads = payloads_of(path, strict)
     version = unchain(parse(payloads[0].decode()))[0]
-    records, k_len, last_birth = [], 0, [None]
+    records, k_len, recent_births = [], 0, []
     for i, payload in enumerate(payloads[1:]):
         try:
             value = parse(payload.decode())
         except ValueError as exc:
             raise StoreCorruption(f"unreadable payload: {exc}", i + 1) from None
-        record = decode_record(value, i + 1, last_birth, version, records=records)
+        record = decode_record(value, i + 1, recent_births, version, records=records)
         if record.seq != i:
             raise StoreCorruption(f"record sequence {record.seq} where {i} expected", i + 1)
         expected = k_len + len(record.entries)
@@ -912,7 +979,27 @@ def reference_read(path, strict=False):
             raise StoreCorruption(f"record {i} log length {record.k_len_after} != {expected}", i + 1)
         k_len = record.k_len_after
         records.append(record)
-    return records
+    return shared_births(records)
+
+
+def shared_births(records):
+    """records with their birth programs shared by the reader's rule,
+    written plainly: a birth takes the object of an equal program among the
+    last _SHARED_BIRTHS distinct birth programs, most recent first, and is
+    otherwise a copy of its own."""
+    recent, shared = [], []
+    for r in records:
+        entries, created = [], None
+        for e in r.entries:
+            if e.receiver == created:
+                hits = [i for i, program in enumerate(recent) if equal(program, e.message)]
+                program = recent.pop(hits[0]) if hits else parse(dumps(e.message))
+                recent = [program, *recent][:_SHARED_BIRTHS]
+                e = LogEntry(e.receiver, e.caller, program)
+            created = e.message if e.receiver == 0 else None
+            entries.append(e)
+        shared.append(TxRecord(r.seq, r._tx, r.result, tuple(entries), r.externals, r.k_len_after))
+    return shared
 
 
 def transaction_references(path):
@@ -989,14 +1076,15 @@ class TestScannerDecode:
                 assert all((a is b) == equal(a, b) for a, b in zip(programs, programs[1:])), path
             records = read_store(str(births)).records
             programs = [b for r in records for b in birth_programs(r.entries)]
-            assert len(programs) == 36 and len({id(b) for b in programs}) == 4  # one per run
+            assert len(programs) == 36 and len({id(b) for b in programs}) == 2  # one per program
 
     def test_a_run_of_equal_births_converts_its_first_program_only(self, tmp_path, monkeypatch):
-        # From version 2 on, the writer refers to an equal previous birth.
+        # From version 2 on, the writer refers to an equal previous birth,
+        # and a later run of an earlier program is found before conversion.
         converted, convert = [], durability._pairs
 
-        def counted(x):
-            value = convert(x)
+        def counted(x, keep=False):
+            value = convert(x, keep)
             if equal(value, P) or equal(value, Q):
                 converted.append(value)
             return value
@@ -1008,7 +1096,7 @@ class TestScannerDecode:
             converted.clear()
             births = [b for r in read_store(str(p)).records for b in birth_programs(r.entries)]
             assert len(births) == 36
-            assert [dumps(v) for v in converted] == [dumps(v) for v in (P, Q, P, Q)], version
+            assert [dumps(v) for v in converted] == [dumps(v) for v in (P, Q)], version
 
     @pytest.mark.parametrize("seq", [0, 3, 4])
     def test_damaged_lists_report_what_the_reference_reports(self, tmp_path, seq):
@@ -1057,8 +1145,8 @@ class TestScannerDecode:
             assert list(records) == reference
             assert shared_pattern(records) == shared_pattern(reference)
             births = [b for r in records for b in birth_programs(r.entries)]
-            assert all((a is b) == equal(a, b) for a, b in zip(births, births[1:]))
-            assert len({id(b) for b in births}) == (3 if fallback == "whitespace" else 5)
+            assert all((a is b) == equal(a, b) for a in births for b in births)
+            assert len({id(b) for b in births}) == (2 if fallback == "whitespace" else 3)
 
 
 LONG_TX = creator(*[P] * 5)

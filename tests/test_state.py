@@ -194,6 +194,54 @@ class TestProjections:
         assert StateView(a).log_of(14) == StateView(b).log_of(14)
 
 
+# Receivers by row count: 14 none, 15 one (its birth), 16 two, 17 four, 20
+# one with no creation row, and the kernel three, a pair among them.
+INDEXED = [
+    LogEntry(0, 1, 15),
+    LogEntry(15, 1, 7),
+    LogEntry(0, 1, 16),
+    LogEntry(16, 1, ECHO_PROGRAM),
+    LogEntry(17, 16, (3, 0)),
+    LogEntry(16, 15, 5),
+    LogEntry(20, 1, 9),
+    LogEntry(17, 1, 8),
+    LogEntry(0, 1, (5, 5)),
+    LogEntry(17, 16, (1, 2)),
+    LogEntry(17, 1, 9),
+]
+
+
+class TestCommittedIndex:
+    """KernelState holds a receiver's one row as a bare int until its second
+    arrives; at every prefix, and every pin of it, the projections read the
+    index as a linear scan reads the log."""
+
+    def test_every_prefix_and_pin_matches_a_linear_scan(self):
+        for n in range(len(INDEXED) + 1):
+            kstate = KernelState.from_entries(INDEXED[:n])
+            for receiver in (0, 14, 15, 16, 17, 20):
+                want = [i for i, e in enumerate(INDEXED[:n]) if e.receiver == receiver]
+                got = kstate.positions_of(receiver)
+                assert got.__class__ is list and got == want, (n, receiver)
+                assert kstate.first_position(receiver) == (want[0] if want else None)
+                held = kstate._positions.get(receiver)
+                assert (held.__class__ is int) == (len(want) == 1), (n, receiver)
+            for cut in range(n + 1):
+                for pending in ([], list(INDEXED[cut:n])):
+                    view = StateView(kstate, cut, pending)
+                    visible = INDEXED[:cut] + pending
+                    for ident in (0, 14, 15, 16, 17, 20, (5, 5)):
+                        rows = ref_log_of(visible, ident)
+                        assert view.log_of(ident) == rows, (n, cut, ident)
+                        assert view.exists(ident) == ref_exists(visible, ident)
+                        if rows:
+                            assert view.program_of(ident) == rows[0][1]
+                        else:
+                            with pytest.raises(UndefinedObjectError):
+                                view.program_of(ident)
+                    assert view.registry_len() == len(ref_log_of(visible, 0))
+
+
 def interleaved_creations():
     """One transaction that creates objects and sends to each just after:
     a cloneable object cloning itself inside its own frame, echoes, and the
